@@ -28,8 +28,8 @@ from common import Timed
 
 #: Events of a served stream's prefix that the timed offline passes replay.
 PREFIX_EVENTS = 8192
-#: Timed offline passes per strategy.
-REPLAY_PASSES = 6
+#: Timed offline passes per strategy; the median pass sets ``replay_eps``.
+REPLAY_PASSES = 10
 #: Timed hindsight-static constructions; a short placement varies by 2x.
 PLACEMENTS = 15
 
@@ -105,7 +105,8 @@ def replay_throughput(spec: ScenarioSpec, served: str, log: SessionLog) -> Tuple
     constructions (the extended-nibble placement).  The timing replays the
     first :data:`PREFIX_EVENTS` events (and the mutations among them)
     :data:`REPLAY_PASSES` times per strategy, each pass with a fresh
-    strategy, timing only ``SimulationEngine.run``.  Short segments let
+    strategy, timing only ``SimulationEngine.run``; ``replay_eps`` is the
+    prefix's events over the median pass.  Short segments let
     the speed probe of :class:`common.Timed` follow the machine closely.
     The client's logs are frozen out of the garbage collector meanwhile,
     so collections scan only what the replays allocate.  Returns
@@ -125,14 +126,14 @@ def replay_throughput(spec: ScenarioSpec, served: str, log: SessionLog) -> Tuple
             places.append(timed.scaled)
         out: Dict[str, float] = {"place_s": statistics.median(places)}
         for name in ("hindsight-static", "edge-counter"):
-            total = 0.0
+            passes = []
             for k in range(REPLAY_PASSES):
                 strategy = placed[k] if name == "hindsight-static" else factories[name]()
                 engine = SimulationEngine(strategy, sinks=scenario.make_sinks())
                 with Timed() as timed:
                     engine.run(sequence, trace)
-                total += timed.scaled
-            out[f"replay_eps.{name}"] = REPLAY_PASSES * len(sequence) / total
+                passes.append(timed.scaled)
+            out[f"replay_eps.{name}"] = len(sequence) / statistics.median(passes)
     finally:
         gc.unfreeze()
     return out, check

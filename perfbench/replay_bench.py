@@ -11,11 +11,15 @@ edge-counter replay that pays the process's lazy set-up); then it builds
 instance
 I + N and replays ``edge-counter`` only (an edge-counter replay moves by
 about 10% from one instance to the next and costs far less than a
-placement).  The placement's speed also shifts by up to ~25% from one
-process to the next, which is why the work is spread over N processes.
-``setup_s`` is the median build, ``place_s`` the mean placement, and
-``replay_eps`` events over summed run time.  Every timing is scaled to
-reference speed (:class:`common.Timed`).  The parent checks every record
+placement).  Each instance's edge-counter replay is timed
+:data:`EDGE_PASSES` times with fresh strategies and the median pass
+counts.  The placement's speed also shifts by up to ~25% from one process
+to the next, which is why the work is spread over N processes.
+``setup_s`` is the median build, ``place_s`` the mean placement,
+``replay_eps`` events over summed (median) run time, and
+``cpu_us_per_event`` the CPU time of every timed pass over the events
+those passes replayed.  Every timing is scaled to reference speed
+(:class:`common.Timed`).  The parent checks every record
 against an independent replay of the same inputs through the fleet
 engine.
 """
@@ -35,6 +39,10 @@ from common import Timed, stop, wait_exit
 #: Approximate seconds of work per child process, and the fewest children per run.
 ROUND_S = 2.5
 MIN_ROUNDS = 2
+#: Timed edge-counter passes per instance, each with a fresh strategy; the
+#: median pass counts.  One pass is ~0.2 s, short enough for the vCPU
+#: speed drift to move it by 20%.
+EDGE_PASSES = 3
 #: How long one replay child may run (s).
 CHILD_TIMEOUT_S = 120.0
 STRATEGIES = ("hindsight-static", "edge-counter")
@@ -80,7 +88,7 @@ def child(seed: int, index: int, placed: int, out: Path, trace_out: Optional[Pat
 
     times = {"build": [], "place": [], **{name: [] for name in STRATEGIES}}
     events = {name: 0 for name in STRATEGIES}
-    cpu = 0.0
+    cpu, cpu_events = 0.0, 0
     records = []
     for k in (index, index + placed):
         spec = wl.mid_spec(seed, k)
@@ -92,22 +100,28 @@ def child(seed: int, index: int, placed: int, out: Path, trace_out: Optional[Pat
             # untimed: the first replay in a process pays its lazy set-up
             SimulationEngine(factories["edge-counter"](), sinks=scenario.make_sinks()).run(
                 scenario.sequence, scenario.trace)
-        strategies = [("edge-counter", factories["edge-counter"]())]
+        strategies = [("edge-counter", [factories["edge-counter"]] * EDGE_PASSES)]
         if k == index:
             with Timed() as timed:
-                strategies.append(("hindsight-static", factories["hindsight-static"]()))
+                placed_strategy = factories["hindsight-static"]()
             times["place"].append(timed.scaled)
+            strategies.append(("hindsight-static", [lambda: placed_strategy]))
         record = {}
-        for name, strategy in strategies:
-            engine = SimulationEngine(strategy, sinks=scenario.make_sinks())
-            with Timed() as timed:
-                result = engine.run(scenario.sequence, scenario.trace)
-            times[name].append(timed.scaled)
-            cpu += timed.cpu * timed.factor
+        for name, makers in strategies:
+            passes = []
+            for make in makers:
+                engine = SimulationEngine(make(), sinks=scenario.make_sinks())
+                with Timed() as timed:
+                    result = engine.run(scenario.sequence, scenario.trace)
+                passes.append(timed.scaled)
+                cpu += timed.cpu * timed.factor
+                cpu_events += len(scenario.sequence)
+            times[name].append(statistics.median(passes))
             events[name] += len(scenario.sequence)
             record[name] = record_of(result)
         records.append({"spec": spec.to_dict(), "records": record})
-    out.write_text(json.dumps({"times": times, "events": events, "cpu_s": cpu, "instances": records}))
+    out.write_text(json.dumps({"times": times, "events": events, "cpu_s": cpu, "cpu_events": cpu_events,
+                               "instances": records}))
     if tracer is not None:
         tracer.write(trace_out)
 
@@ -170,7 +184,7 @@ def replay_mid(seed: int, seconds: float, env: Dict[str, str], out_dir: Path, tr
         "setup_s": statistics.median(times["build"]),
         "place_s": statistics.fmean(times["place"]),
         "replay": {f"replay_eps.{name}": events[name] / sum(times[name]) for name in STRATEGIES},
-        "cpu_us_per_event": 1e6 * sum(d["cpu_s"] for d in documents) / total,
+        "cpu_us_per_event": 1e6 * sum(d["cpu_s"] for d in documents) / sum(d["cpu_events"] for d in documents),
         "attempted": total,
         "events": total,
     }

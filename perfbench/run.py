@@ -28,16 +28,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from common import OUT, BenchError, check_checkout, prepare_environment, provenance  # noqa: E402
 
-WORKLOADS = ("serve-zipf", "serve-churn", "replay-mid")
+#: Workloads (BENCHMARK.json ``workloads``): name, why.
+WORKLOADS = {
+    "serve-zipf": "15-node zipf served open loop at 15k ev/s: per-span fixed cost, wire, micro-batching and ack path",
+    "serve-churn": "121-node storm spec, 2 sessions, journal on, a mutation every 64 events: barriers, repair, journal",
+    "replay-mid": "5,631-node offline replay: extended-nibble placement and kernel-bound serve_chunk; no serving layers",
+}
 
-#: End-to-end metrics (BENCHMARK.json ``end_to_end``), measured on every workload.
+#: End-to-end metrics (BENCHMARK.json ``end_to_end``), measured on every workload: unit, better.
 END_TO_END = {
-    "setup_s": "s",
-    "peak_rss_mib": "MiB",
-    "cpu_us_per_event": "us",
-    "place_s": "s",
-    "replay_eps.hindsight-static": "ev/s",
-    "replay_eps.edge-counter": "ev/s",
+    "setup_s": ("s", "lower"),
+    "peak_rss_mib": ("MiB", "lower"),
+    "cpu_us_per_event": ("us", "lower"),
+    "place_s": ("s", "lower"),
+    "replay_eps.hindsight-static": ("ev/s", "higher"),
+    "replay_eps.edge-counter": ("ev/s", "higher"),
 }
 
 #: Per-layer metrics (BENCHMARK.json ``per_layer``) of a traced run: unit, better.
@@ -155,7 +160,7 @@ def _fmt(value: float) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=list(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -182,7 +187,7 @@ def main(argv=None) -> int:
     prov = provenance(args.seed, args.workload, bool(args.trace), rates)
     print(f"# perfbench {args.workload}: " + " ".join(f"{k}={v}" for k, v in prov.items()))
     for name, value in e2e.items():
-        print(f"{name:34s} {_fmt(value):>14s} {END_TO_END[name]}")
+        print(f"{name:34s} {_fmt(value):>14s} {END_TO_END[name][0]}")
     for name, (value, unit, *note) in extra.items():
         print(f"{name:34s} {_fmt(value):>14s} {unit}  {' '.join(note)}")
     for name, (value, unit) in sorted(layers.items()):
@@ -209,7 +214,7 @@ def main(argv=None) -> int:
     if args.trace:
         metrics = {k: (layers[k][0], unit) for k, (unit, _) in PER_LAYER.items()}
     else:
-        metrics = {k: (e2e[k], unit) for k, unit in END_TO_END.items()}
+        metrics = {k: (e2e[k], unit) for k, (unit, _) in END_TO_END.items()}
     line = {
         "correct": True,
         "attempted": int(raw["attempted"]),

@@ -25,8 +25,11 @@ import workloads as wl
 from client import SessionLog, drive, hello_only, open_session, spawn_server
 from common import OUT, percentile, proc_cpu_seconds, stop, tail_percentile, wait_exit
 
-#: Server spawns per run; ``setup_s`` is the median of their spawn-to-hello times.
-SETUP_SPAWNS = 5
+#: Throw-away server spawns before and again after the measured server.
+#: ``setup_s`` is the median spawn-to-hello time of all of them and the
+#: measured server.  The vCPU speed drifts in phases of a few seconds, so
+#: spawns spread over the whole run sample more phases than a burst does.
+SETUP_SPAWNS_AROUND = 4
 #: Latencies of messages due in a session's first WARMUP_SHARE are not counted.
 WARMUP_SHARE = 0.15
 #: Delay between the last hello and the first scheduled send (s).
@@ -84,16 +87,14 @@ def run_server(
     trace_path: Optional[Path],
     timeout: float,
 ) -> ServerRun:
-    """Measure set-up on throw-away spawns, then drive ``sessions`` on one server.
+    """Drive ``sessions`` on one server; measure set-up on it and on throw-away spawns.
 
     ``sessions`` is an async callable ``(host, port, pid) -> (logs, cpu
     window seconds)`` that runs every session of the run against the
     server, within ``timeout`` seconds.
     """
-    setups = [
-        spawn_to_hello(server_argv(throwaway_args, None), env)
-        for _ in range(SETUP_SPAWNS - 1)
-    ]
+    throwaway = server_argv(throwaway_args, None)
+    setups = [spawn_to_hello(throwaway, env) for _ in range(SETUP_SPAWNS_AROUND)]
     proc, host, port, spawned = spawn_server(server_argv(serve_args, trace_path), env)
     try:
         logs, cpu_window = asyncio.run(asyncio.wait_for(sessions(host, port, proc.pid), timeout))
@@ -105,6 +106,7 @@ def run_server(
         stop(proc)
         raise
     setups.append(min(log.hello_time for log in logs) - spawned)
+    setups += [spawn_to_hello(throwaway, env) for _ in range(SETUP_SPAWNS_AROUND)]
     return ServerRun(float(np.median(setups)), rss, logs, cpu_window)
 
 
@@ -226,9 +228,15 @@ def serve_zipf(seed: int, seconds: float, env: Dict[str, str], trace_path: Optio
 # --------------------------------------------------------------------------- #
 # serve-churn
 # --------------------------------------------------------------------------- #
-def serve_churn(seed: int, seconds: float, env: Dict[str, str], trace_path: Optional[Path]) -> Dict:
-    """Two open-loop sessions of a storm-derived churn spec, journal on."""
-    n_events = int(wl.CHURN_RATE * seconds)
+def serve_churn(
+    seed: int, seconds: float, env: Dict[str, str], trace_path: Optional[Path], rate: float = wl.CHURN_RATE
+) -> Dict:
+    """Two open-loop sessions of a storm-derived churn spec, journal on.
+
+    ``rate`` is the offered rate of each session; ``churn_ladder.py``
+    passes other rates to find the knee.
+    """
+    n_events = int(rate * seconds)
     spec = wl.churn_spec(seed, n_events)
     spec_path = OUT / "churn-spec.json"
     spec_path.write_text(spec.to_json(indent=1))
@@ -236,7 +244,7 @@ def serve_churn(seed: int, seconds: float, env: Dict[str, str], trace_path: Opti
     events = events[:n_events]
     mutations = [(t, op) for t, op in mutations if t < n_events]
     schedules = [
-        wl.stream_schedule(events, mutations, wl.CHURN_RATE,
+        wl.stream_schedule(events, mutations, rate,
                            np.random.default_rng(wl.derive(seed, f"churn-arrivals-{k}")))
         for k in range(wl.CHURN_SESSIONS)
     ]
@@ -265,13 +273,13 @@ def serve_churn(seed: int, seconds: float, env: Dict[str, str], trace_path: Opti
         checks.append(f"expected {len(run.logs)} journals, found {len(journals)}")
     return {
         "run": run,
-        "stats": session_stats(run.logs, wl.CHURN_RATE),
+        "stats": session_stats(run.logs, rate),
         "knee_eps": None,
         "checks": checks,
         "replay": replay,
         "events": sum(log.schedule.n_events for log in run.logs),
         "attempted": sum(log.schedule.n_events for log in run.logs),
         "failed": sum(failed_events(log) for log in run.logs),
-        "rates": {"per_session": wl.CHURN_RATE, "sessions": wl.CHURN_SESSIONS},
+        "rates": {"per_session": rate, "sessions": wl.CHURN_SESSIONS},
         "journal_bytes": sum(path.stat().st_size for path in journals),
     }

@@ -30,6 +30,14 @@ ZIPF_LADDER = (20000.0, 30000.0, 40000.0, 50000.0)
 KNEE_P99_LIMIT_MS = 20.0
 
 # serve-churn: per-session open-loop rate (2 sessions share one server).
+# Chosen from churn_ladder.py (README "serve-churn rate ladder", 5 seeds):
+# up to 1,500 ev/s per session the pooled p50 stays at 3.2-4.3 ms, and the
+# p99 scatters between 11 and 80 ms from seed to seed: single long engine
+# passes, not queueing.  From 2,000 on the p50 climbs (4.8-7.1 ms at
+# 2,000-2,500, ~15 ms at 4,500), and from 2,500 on the p99 stays at
+# 60-190 ms on every seed.  So 1,500 is the highest rung below the knee,
+# and one session's long passes already show in the other's acks there.
+# The server keeps up (no growing backlog) to 6,000 ev/s per session.
 CHURN_RATE = 1500.0
 CHURN_SESSIONS = 2
 #: One mutation about every this many request events, for the whole run.
