@@ -1,7 +1,7 @@
 """Huge tier: 10^5-leaf substrate build, memory ceiling, compiled replay gate.
 
 The memory-scaled substrate (int32 CSR incidence + lifting tables,
-blocked distance computation) and the compiled kernel backends exist so
+blocked distance computation) and the cc kernel backend exists so
 the replay stack handles million-entry path tables.  This module pins
 both claims on a 10^5-processor network:
 
@@ -11,7 +11,7 @@ both claims on a 10^5-processor network:
   (RSS is printed for information only: it is allocator- and
   platform-noisy, the nbytes ceiling is the gate);
 * **compiled replay gate** -- the replay inner loop (batched pair-path
-  charge, fused load apply, running-max congestion) under the compiled
+  charge, fused load apply, running-max congestion) under the cc
   backend must beat the numpy reference by at least **5x** on this
   substrate, with bit-for-bit identical results.
 
@@ -157,18 +157,14 @@ def test_huge_replay_numpy_reference(benchmark):
 
 
 def test_huge_compiled_vs_numpy_gate():
-    """The compiled backend must beat numpy >= 5x on the huge replay pass.
+    """The cc backend must beat numpy >= 5x on the huge replay pass.
 
     Results are asserted bit-for-bit identical first (invariant 9); the
     timing takes best-of-N on both sides so a scheduler hiccup cannot
     fail the gate.
     """
-    compiled = [b for b in kernels.available_backends() if b != "numpy"]
-    if not compiled:
-        pytest.skip("no compiled kernel backend available for the gate")
-    backend = kernels.active_backend()
-    if backend == "numpy":
-        backend = compiled[0]
+    if "cc" not in kernels.available_backends():
+        pytest.skip("cc kernel backend unavailable for the gate")
 
     net, pm, _ = huge_substrate()
     # Many small batches keep the numpy side CSR-bound (full np.add.at
@@ -181,7 +177,7 @@ def test_huge_compiled_vs_numpy_gate():
 
     results = {}
     times = {}
-    for name in ("numpy", backend):
+    for name in ("numpy", "cc"):
         best = float("inf")
         with kernels.use_backend(name):
             for _ in range(repeats):
@@ -192,17 +188,17 @@ def test_huge_compiled_vs_numpy_gate():
         results[name] = (state._loads.copy(), congestion)
         times[name] = best
 
-    assert np.array_equal(results["numpy"][0], results[backend][0])
-    assert results["numpy"][1] == results[backend][1]
+    assert np.array_equal(results["numpy"][0], results["cc"][0])
+    assert results["numpy"][1] == results["cc"][1]
 
-    speedup = times["numpy"] / max(times[backend], 1e-12)
+    speedup = times["numpy"] / max(times["cc"], 1e-12)
     events = n_batches * batch_size
     print(
-        f"\nhuge replay [{backend}]: {events} pair charges on "
+        f"\nhuge replay [cc]: {events} pair charges on "
         f"{net.n_processors} processors, numpy {times['numpy']*1e3:.0f}ms, "
-        f"{backend} {times[backend]*1e3:.0f}ms -> {speedup:.2f}x"
+        f"cc {times['cc']*1e3:.0f}ms -> {speedup:.2f}x"
     )
     assert speedup >= SPEEDUP_FLOOR, (
-        f"compiled backend {backend!r} only {speedup:.2f}x faster than the "
+        f"cc backend only {speedup:.2f}x faster than the "
         f"numpy reference on the huge replay pass (gate: {SPEEDUP_FLOOR}x)"
     )

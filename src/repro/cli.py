@@ -891,8 +891,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--watchdog",
         type=float,
         default=None,
-        help="engine-pass deadline in seconds (a stalled engine aborts "
-        "the session with a structured error instead of hanging)",
+        help="engine-pass deadline in seconds (an engine pass stalled at "
+        "an await aborts the session with a structured error; a slow "
+        "synchronous pass runs to completion and is not aborted)",
     )
     serve.add_argument(
         "--max-active",

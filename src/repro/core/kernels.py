@@ -3,7 +3,7 @@
 The replay stack funnels every hot loop -- the batched LCA walk, the CSR
 path scatter, the pair-delta scatter, the bus fold, the fused load apply
 and the running-max congestion rescan -- through the small set of kernel
-operations in this module.  Each operation has three interchangeable
+operations in this module.  Each operation has two interchangeable
 implementations:
 
 ``numpy``
@@ -15,29 +15,24 @@ implementations:
     system C compiler (``cc``/``gcc``/``clang``) into a shared object that
     is cached on disk keyed by the source hash, and loaded via ctypes.
     Available wherever a C compiler is installed.
-``numba``
-    ``@njit`` twins of the same loops (see
-    :mod:`repro.core._numba_kernels`).  Available when the optional
-    ``numba`` dependency is installed (``pip install repro[compiled]``).
 
 Selection is controlled by the ``REPRO_BACKEND`` environment variable
-(``numba`` | ``cc`` | ``numpy`` | ``auto``, default ``auto``: numba if
-importable, else cc if a compiler is found, else numpy).  Requesting a
-backend that is unavailable raises :class:`~repro.errors.AlgorithmError`
-instead of silently falling back.  :func:`set_backend` /
-:func:`use_backend` override the environment at runtime (used by the
-differential suite and the compiled-vs-numpy benchmark gates).
+(``cc`` | ``numpy`` | ``auto``, default ``auto``: cc if it builds, else
+numpy).  Requesting a backend that is unavailable raises
+:class:`~repro.errors.AlgorithmError` instead of silently falling back.
+:func:`set_backend` / :func:`use_backend` override the environment at
+runtime (used by the differential suite and the compiled-vs-numpy
+benchmark gates).
 
-**Compiled equals reference (ARCHITECTURE.md invariant 9).**  Every
-compiled kernel is bit-for-bit equal to its numpy ``_reference_*`` twin,
-not merely close: all charges of the cost model are integer-valued request
+**Compiled equals reference (ARCHITECTURE.md invariant 9).**  Every cc
+kernel is bit-for-bit equal to its numpy ``_reference_*`` twin, not
+merely close: all charges of the cost model are integer-valued request
 counts (invariant 2), so every float addition performed by these kernels
 is exact in double precision and the order of additions cannot change the
 result; congestion values are maxima over identical division results.
 The differential suite (``tests/properties/test_kernel_differential.py``)
-pins this down on a seed matrix for every available backend, and the
-compiled library is built without ``-ffast-math`` so IEEE semantics are
-preserved.
+pins this down on a seed matrix, and the compiled library is built
+without ``-ffast-math`` so IEEE semantics are preserved.
 
 Index dtypes: the substrate stores node ids, edge ids and lifting-table
 entries as :data:`INDEX_DTYPE` (int32) so huge networks fit in memory;
@@ -85,7 +80,7 @@ __all__ = [
 INDEX_DTYPE = np.int32
 
 #: Recognised ``REPRO_BACKEND`` values, in auto-detection order.
-BACKENDS = ("numba", "cc", "numpy")
+BACKENDS = ("cc", "numpy")
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -516,14 +511,20 @@ def _load_cc_library() -> ctypes.CDLL:
         compiler = _find_compiler()
         if compiler is None:
             raise AlgorithmError("no C compiler found for the cc kernel backend")
-        src_path = base / f"repro_kernels_{digest}.c"
+        # Per-process source and object names: a shared source path would
+        # let one builder truncate the file another is compiling.
+        stem = f".repro_kernels_{digest}.{os.getpid()}"
+        src_path = base / f"{stem}.c"
+        tmp_path = base / f"{stem}.so"
         src_path.write_text(_C_SOURCE)
-        tmp_path = base / f".repro_kernels_{digest}.{os.getpid()}.so"
-        subprocess.run(
-            [compiler, "-O3", "-fPIC", "-shared", "-o", str(tmp_path), str(src_path)],
-            check=True,
-            capture_output=True,
-        )
+        try:
+            subprocess.run(
+                [compiler, "-O3", "-fPIC", "-shared", "-o", str(tmp_path), str(src_path)],
+                check=True,
+                capture_output=True,
+            )
+        finally:
+            src_path.unlink()
         os.replace(tmp_path, lib_path)  # atomic under concurrent builders
     return ctypes.CDLL(str(lib_path))
 
@@ -651,14 +652,6 @@ def _try_build_cc() -> Optional[Dict[str, Callable]]:
         return None
 
 
-def _try_build_numba() -> Optional[Dict[str, Callable]]:
-    try:
-        from repro.core import _numba_kernels
-    except Exception:
-        return None
-    return _numba_kernels.OPS
-
-
 # --------------------------------------------------------------------- #
 # backend selection
 # --------------------------------------------------------------------- #
@@ -673,8 +666,6 @@ def _ops_for(name: str) -> Optional[Dict[str, Callable]]:
             _ops_cache[name] = _NUMPY_OPS
         elif name == "cc":
             _ops_cache[name] = _try_build_cc()
-        elif name == "numba":
-            _ops_cache[name] = _try_build_numba()
         else:
             raise AlgorithmError(
                 f"unknown kernel backend {name!r}: expected one of "
@@ -692,7 +683,7 @@ def active_backend() -> str:
     """The backend the kernel dispatch currently resolves to.
 
     Resolution order: :func:`set_backend` override, then ``REPRO_BACKEND``,
-    then auto-detection (numba, cc, numpy -- first available).  An
+    then auto-detection (cc if it builds, else numpy).  An
     explicitly requested backend that is unavailable raises
     :class:`~repro.errors.AlgorithmError` rather than silently degrading.
     """
@@ -715,8 +706,8 @@ def active_backend() -> str:
         if _ops_for(requested) is None:
             raise AlgorithmError(
                 f"kernel backend {requested!r} was requested but is not "
-                "available in this environment (numba not installed / no C "
-                "compiler); unset REPRO_BACKEND or choose 'numpy'"
+                "available in this environment (no C compiler, or the "
+                "build failed); unset REPRO_BACKEND or choose 'numpy'"
             )
         name = requested
     _resolved = (key, name)
@@ -778,7 +769,7 @@ def scatter_paths(
     ``rp_indptr`` (per-node entry ranges, the compiled zero-skip walk) are
     two views of the same CSR structure and must stay consistent.
 
-    Compiled backends skip nodes whose delta row is entirely zero.  This
+    The cc backend skips nodes whose delta row is entirely zero.  This
     is bitwise-identical to the reference full-table scatter for every
     substrate caller: ``out`` accumulators start at +0.0 and IEEE
     addition can never turn +0.0 into -0.0, so the skipped ``x += 0.0``

@@ -60,6 +60,11 @@ def workload_from_spec(spec) -> Tuple[Sequence, List[Tuple[int, Dict]]]:
     return built.sequence.events, mutations
 
 
+#: Reply line limit.  asyncio's default (64 KiB) is overrun by the ``end``
+#: summary of a long session, whose trajectory grows with its length.
+_LINE_LIMIT = 1 << 28
+
+
 class _Shed(Exception):
     """The server shed this connection (overloaded/draining): retriable."""
 
@@ -76,7 +81,7 @@ async def _connect(
     deadline = loop.time() + timeout
     while True:
         try:
-            return await asyncio.open_connection(host, port)
+            return await asyncio.open_connection(host, port, limit=_LINE_LIMIT)
         except OSError:
             if loop.time() >= deadline:
                 raise

@@ -40,9 +40,12 @@ journal file names, and fresh tokens never reuse an existing file.
 limit with a structured ``{"type": "error", "code": "overloaded",
 "retry_after": ...}`` instead of queueing them; SIGTERM (or
 :meth:`PlacementServer.request_drain`) stops accepting new sessions and
-lets active ones finish; an optional ``watchdog`` deadline bounds each
-engine pass so a stalled engine task turns into a structured error
-instead of a silent hang.
+lets active ones finish; an optional ``watchdog`` deadline turns an
+engine pass that is stalled at an ``await`` into a structured error
+instead of a silent hang.  It cannot abort a slow *synchronous* pass:
+the pass runs on the event-loop thread, so ``asyncio.wait_for`` only
+trips once the pass awaits, which in practice means the injected
+``stall`` fault (ROADMAP open item 4 moves passes off the loop).
 """
 
 from __future__ import annotations
@@ -100,9 +103,11 @@ class PlacementServer:
         fsync every journal line before serving it (the write-ahead
         durability mode; acks then only ever cover durable bytes).
     watchdog:
-        Optional deadline in seconds for one engine pass; exceeding it
-        aborts the session with a structured ``watchdog`` error instead
-        of hanging the connection.
+        Optional deadline in seconds for one engine pass; a pass that
+        is still awaiting when it expires aborts the session with a
+        structured ``watchdog`` error instead of hanging the connection.
+        A synchronous pass is never interrupted (see the module
+        docstring).
     max_active:
         Optional bound on concurrently active sessions; connections
         beyond it are shed with ``code="overloaded"`` and a

@@ -8,6 +8,11 @@ int32/int64 parity of the shrunken CSR tables -- including across churn
 repairs, where NEP 50 dtype promotion could silently widen them back.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,16 @@ from repro.network.rooted import RootedTree
 from repro.workload.churn import random_valid_mutation
 
 INT32_MAX = np.iinfo(np.int32).max
+
+
+@pytest.fixture
+def without_cc(monkeypatch, tmp_path):
+    """Make the cc backend unbuildable: no compiler, an empty kernel cache
+    and cleared dispatch caches (all restored afterwards)."""
+    monkeypatch.setattr(kernels, "_find_compiler", lambda: None)
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
+    monkeypatch.setattr(kernels, "_ops_cache", {})
+    monkeypatch.setattr(kernels, "_resolved", (object(), ""))
 
 
 class TestBackendSelection:
@@ -45,21 +60,18 @@ class TestBackendSelection:
         with pytest.raises(AlgorithmError, match="unknown kernel backend"):
             kernels.active_backend()
 
-    def test_unavailable_backend_raises_not_degrades(self, monkeypatch):
-        missing = [b for b in kernels.BACKENDS if b not in kernels.available_backends()]
-        if not missing:
-            pytest.skip("every kernel backend is available in this environment")
-        monkeypatch.setenv("REPRO_BACKEND", missing[0])
+    def test_unavailable_backend_raises_not_degrades(self, without_cc, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert kernels.available_backends() == ("numpy",)
+        assert kernels.active_backend() == "numpy"
+        monkeypatch.setenv("REPRO_BACKEND", "cc")
         with pytest.raises(AlgorithmError, match="not.*available"):
             kernels.active_backend()
 
-    def test_set_backend_validates_eagerly(self):
-        missing = [b for b in kernels.BACKENDS if b not in kernels.available_backends()]
-        if not missing:
-            pytest.skip("every kernel backend is available in this environment")
+    def test_set_backend_validates_eagerly(self, without_cc):
         try:
-            with pytest.raises(AlgorithmError):
-                kernels.set_backend(missing[0])
+            with pytest.raises(AlgorithmError, match="not.*available"):
+                kernels.set_backend("cc")
         finally:
             kernels.set_backend(None)
 
@@ -80,6 +92,55 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_BACKEND", kernels.active_backend())
         with kernels.use_backend("numpy"):
             assert kernels.active_backend() == "numpy"
+
+
+class TestCcBuildCache:
+    @pytest.mark.skipif(kernels._find_compiler() is None, reason="no C compiler")
+    def test_concurrent_cold_builds_all_get_cc(self, tmp_path):
+        """Processes building one fresh cache together must all load cc.
+
+        A shared source path would let one builder truncate the C file
+        while another compiles it, caching a library without symbols and
+        silently degrading ``auto`` to numpy.  The children import the
+        module, then resolve the backend together on a stdin barrier.
+        """
+        env = dict(os.environ, REPRO_KERNEL_CACHE=str(tmp_path / "kernels"))
+        env.pop("REPRO_BACKEND", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(kernels.__file__).parents[2]), env.get("PYTHONPATH", "")]
+        )
+        script = (
+            "import sys\n"
+            "from repro.core import kernels\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "print(kernels.active_backend())\n"
+        )
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                env=env,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(8)
+        ]
+        try:
+            for child in children:
+                assert child.stdout.readline().strip() == "ready"
+            for child in children:
+                child.stdin.write("go\n")
+                child.stdin.flush()
+            backends = [child.communicate(timeout=120)[0].strip() for child in children]
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
+        assert backends == ["cc"] * 8
+        # the per-process build files are gone: only the library is cached
+        (cached,) = (tmp_path / "kernels").iterdir()
+        assert cached.name.startswith("repro_kernels_")
 
 
 class TestCapacityGuard:

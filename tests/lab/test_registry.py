@@ -242,7 +242,7 @@ class TestBackendProvenance:
 
     def test_records_byte_identical_across_backends(self, tmp_path):
         """Pinned: a scenario run serializes to the same record bytes on
-        every available backend, so the registry's content addressing and
+        cc and numpy, so the registry's content addressing and
         everything derived from ``records`` is backend-independent (the
         ``backend`` provenance field is the artifact's only varying byte).
         """
@@ -250,24 +250,22 @@ class TestBackendProvenance:
         from repro.lab.registry import canonical_json
         from repro.sim.scenario import run_scenario
 
-        compiled = [b for b in kernels.available_backends() if b != "numpy"]
-        if not compiled:
-            pytest.skip("no compiled kernel backend to compare against numpy")
+        if "cc" not in kernels.available_backends():
+            pytest.skip("no cc kernel backend to compare against numpy")
 
         spec = scenario_spec("zipf", seed=0, small=True)
         entry = scenario_entry(spec, 0)
         serialized = {}
         artifacts = {}
-        for name in ["numpy", *compiled]:
+        for name in ("numpy", "cc"):
             with kernels.use_backend(name):
                 records = run_scenario(spec)
                 registry = LabRegistry(tmp_path / name)
                 path = registry.record(entry, records)
             serialized[name] = canonical_json({"records": records})
             artifacts[name] = json.loads(path.read_text())
-        for name in compiled:
-            assert serialized[name] == serialized["numpy"]
-            ours, ref = dict(artifacts[name]), dict(artifacts["numpy"])
-            assert ours.pop("backend") == name
-            assert ref.pop("backend") == "numpy"
-            assert ours == ref  # the provenance field is the only difference
+        assert serialized["cc"] == serialized["numpy"]
+        ours, ref = dict(artifacts["cc"]), dict(artifacts["numpy"])
+        assert ours.pop("backend") == "cc"
+        assert ref.pop("backend") == "numpy"
+        assert ours == ref  # the provenance field is the only difference

@@ -2,10 +2,9 @@
 
 Pins ARCHITECTURE.md invariant 9 ("compiled equals reference,
 bit-for-bit").  Every kernel operation of :mod:`repro.core.kernels` is
-run against its numpy ``_reference_*`` twin on seeded random inputs, for
-every backend available in the environment (``cc`` wherever a C compiler
-exists, ``numba`` when the optional dependency is installed).  Equality
-is exact -- ``np.array_equal`` on the mutated buffers and returned
+run against its numpy ``_reference_*`` twin on seeded random inputs,
+under the ``cc`` backend (available wherever a C compiler exists).
+Equality is exact -- ``np.array_equal`` on the mutated buffers and returned
 arrays, never ``allclose``: all charges of the cost model are
 integer-valued request counts, so every float addition the kernels
 perform is exact in double precision and addition order cannot change
@@ -20,7 +19,7 @@ along with the kernels:
   ``_reference_aggregate_chunk`` twin;
 
 and closes with substrate-level end-to-end checks (PathMatrix batch ops
-and LoadState replay under every backend vs the numpy backend).
+and LoadState replay under cc vs the numpy backend).
 
 The seed matrix is extendable via the ``REPRO_KERNEL_SEEDS`` environment
 variable (comma-separated integers), which CI uses to pin a fixed

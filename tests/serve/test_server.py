@@ -7,6 +7,7 @@ client as the driver -- the same path the CI smoke job exercises.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -59,6 +60,22 @@ class TestServedStream:
             sorted(tmp_path.glob("session-*.jsonl"))[0]
         )
         assert replayed == served
+
+    def test_end_summary_longer_than_64kib(self):
+        # a sample after every event: 300 passes of the 24-event stream
+        # give a 7,200-sample trajectory, which overruns asyncio's default
+        # 64 KiB line limit in the end reply
+        spec = dataclasses.replace(
+            scenario_spec("zipf", seed=0, small=True),
+            strategies=({"kind": "hindsight-static"},),
+            sinks=({"kind": "trajectory", "args": {"samples": 24}},),
+        )
+        events, _ = workload_from_spec(spec)
+        with run_server(spec) as (host, port):
+            stats = loadgen(host, port, events, batch=4096, repeat=300)
+        summary = stats["summary"]
+        assert len(json.dumps(summary, separators=(",", ":"))) > 64 * 1024
+        assert summary["n_events"] == len(summary["trajectory"]) == 300 * len(events)
 
     def test_rate_limit_caps_throughput(self, spec):
         events, _ = workload_from_spec(spec)
