@@ -11,7 +11,13 @@ stay within **10%** of a direct ``serve_chunk`` call over the whole
 sequence.
 
 It also measures the declarative scenario registry end-to-end (spec ->
-build -> engine with sinks), the path ``repro simulate`` and E11 take.
+build -> engine with sinks), the path ``repro simulate`` and E11 take,
+and gates what sampling costs: the registry zipf spec's sinks sample
+every 24 events, and since the sample positions go into one
+``serve_chunk`` call as marks instead of cutting spans, the zipf ×300
+replay (28,800 events) with those sinks must stay within **10×** the
+sinkless replay under hindsight-static (it was 40-350× when every sample
+cut a span).  The edge-counter ratio is measured and recorded too.
 """
 
 import os
@@ -22,9 +28,10 @@ import pytest
 
 from repro.core.extended_nibble import extended_nibble
 from repro.dynamic.online import StaticPlacementManager
-from repro.dynamic.sequence import sequence_from_pattern
+from repro.dynamic.sequence import RequestSequence, sequence_from_pattern
 from repro.network.builders import balanced_tree
-from repro.sim.scenario import run_scenario, scenario_spec
+from repro.sim.engine import SimulationEngine
+from repro.sim.scenario import build_scenario, run_scenario, scenario_spec
 from repro.workload.generators import zipf_pattern
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
@@ -135,4 +142,75 @@ def test_kernel_overhead_gate():
     assert overhead <= ceiling, (
         f"kernel-mediated replay is {overhead:.2f}x the direct fast path "
         f"(gate: {ceiling:.2f}x)"
+    )
+
+
+# --------------------------------------------------------------------------- #
+# sampling cost: the spec's sinks against no sinks
+# --------------------------------------------------------------------------- #
+SAMPLED_STRATEGIES = ("hindsight-static", "edge-counter")
+SAMPLE_GATE = 10.0
+
+
+def zipf_x300():
+    """The registry zipf scenario with its events repeated 300 times."""
+    if "zipf-x300" not in _cache:
+        scenario = build_scenario(scenario_spec("zipf"))[0]
+        sequence = RequestSequence(
+            list(scenario.sequence.events) * 300, scenario.sequence.n_objects
+        )
+        _cache["zipf-x300"] = (scenario, sequence)
+    return _cache["zipf-x300"]
+
+
+def sampled_engine(name, with_sinks):
+    """A fresh engine over a fresh strategy of the zipf scenario."""
+    scenario, _sequence = zipf_x300()
+    sinks = scenario.make_sinks() if with_sinks else ()
+    return SimulationEngine(dict(scenario.strategies)[name](), sinks=sinks)
+
+
+@pytest.mark.benchmark(group="sample-marks")
+@pytest.mark.parametrize("name", SAMPLED_STRATEGIES)
+@pytest.mark.parametrize("sinks", ("spec-sinks", "no-sinks"))
+def test_zipf_x300_replay(benchmark, name, sinks):
+    _scenario, sequence = zipf_x300()
+    result = benchmark.pedantic(
+        lambda engine: engine.run(sequence),
+        setup=lambda: ((sampled_engine(name, sinks == "spec-sinks"),), {}),
+        rounds=3, iterations=1,
+    )
+    assert result.served == 28800
+
+
+def test_sample_mark_gate():
+    """Sampling every 24 events may cost at most 10x the sinkless replay.
+
+    Both arms alternate and take best-of-N, so a scheduler hiccup cannot
+    fail the gate; the sampled and sinkless replays must end in the same
+    state first.
+    """
+    repeats = 5 if QUICK else 9
+    _scenario, sequence = zipf_x300()
+    ratios = {}
+    for name in SAMPLED_STRATEGIES:
+        best = {True: float("inf"), False: float("inf")}
+        results = {}
+        for _ in range(repeats):
+            for with_sinks in (True, False):
+                engine = sampled_engine(name, with_sinks)
+                start = time.perf_counter()
+                results[with_sinks] = engine.run(sequence)
+                best[with_sinks] = min(best[with_sinks], time.perf_counter() - start)
+        sampled, plain = results[True].account, results[False].account
+        assert np.array_equal(sampled.edge_loads, plain.edge_loads)
+        assert sampled.congestion == plain.congestion
+        ratios[name] = best[True] / max(best[False], 1e-12)
+        print(
+            f"\nzipf x300 [{name}]: spec sinks {best[True]*1e3:.2f}ms, none "
+            f"{best[False]*1e3:.2f}ms -> {ratios[name]:.2f}x"
+        )
+    assert ratios["hindsight-static"] <= SAMPLE_GATE, (
+        f"sampling makes the hindsight-static replay {ratios['hindsight-static']:.1f}x "
+        f"the sinkless one (gate: {SAMPLE_GATE:.0f}x)"
     )

@@ -243,6 +243,27 @@ class _SubstrateGeometry:
             for key, (ids, fused, inc, _denom) in list(cache.items()):
                 cache[key] = (ids, fused, inc, self._denom[fused])
 
+    def _trial_congestions(self, loads: np.ndarray, columns) -> np.ndarray:
+        """Max relative load of ``loads`` plus each per-edge column.
+
+        ``loads`` is one fused load row; ``columns`` has shape
+        ``(n_edges, k)``.  The bus rows of the columns are folded with the
+        bus-fold kernel; all loads are integers, so the sums are exact and
+        each value is bit-for-bit the rescan of the state the column would
+        produce.
+        """
+        cols = np.ascontiguousarray(columns, dtype=np.float64)
+        if cols.ndim == 1:
+            cols = cols[:, None]
+        n_edges = self.n_edges
+        fused = np.empty((loads.size, cols.shape[1]), dtype=np.float64)
+        fused[:n_edges] = cols
+        bus2 = fused[n_edges:]
+        bus2[:] = 0.0
+        kernels.bus_fold(bus2, self._edge_u, self._edge_v, self._node_is_bus, cols)
+        fused += loads[:, None]
+        return (fused / self._denom[:, None]).max(axis=0)
+
     # ------------------------------------------------------------------ #
     # structural helpers shared with the strategies
     # ------------------------------------------------------------------ #
@@ -466,20 +487,10 @@ class LoadState(_SubstrateGeometry):
 
         ``columns`` has shape ``(n_edges, k)``; the result has shape ``(k,)``.
         Used by search layers to score candidate moves in one pass without
-        mutating the state.
+        mutating the state, and by the marked chunk replay to read the
+        congestion at every sample mark of a chunk.
         """
-        cols = np.asarray(columns, dtype=np.float64)
-        if cols.ndim == 1:
-            cols = cols[:, None]
-        n_edges = self.n_edges
-        fused = np.zeros((self._loads.size, cols.shape[1]), dtype=np.float64)
-        fused[:n_edges] = cols
-        bus2 = fused[n_edges:]
-        np.add.at(bus2, self._edge_u, cols)
-        np.add.at(bus2, self._edge_v, cols)
-        bus2[~self._node_is_bus] = 0.0
-        fused += self._loads[:, None]
-        return (fused / self._denom[:, None]).max(axis=0)
+        return self._trial_congestions(self._loads, columns)
 
     # ------------------------------------------------------------------ #
     # snapshot / rollback
@@ -1009,6 +1020,12 @@ class LaneState:
         """Debug check: the lane's bus rows match a CSR recomputation."""
         return self.parent.verify_bus_loads(self.lane_index)
 
+    def trial_congestions(self, columns: np.ndarray) -> np.ndarray:
+        """Congestion of (lane + column) for every column, read-only."""
+        return self.parent._trial_congestions(
+            self.parent._loads[self.lane_index], columns
+        )
+
     # -- delta application ---------------------------------------------- #
     def apply_path(self, src: int, dst: int, amount: float = 1.0) -> int:
         """Charge ``amount`` on every edge of the tree path ``src -> dst``."""
@@ -1076,12 +1093,5 @@ class LaneState:
         """Lanes do not journal; tentative-move search needs a LoadState."""
         raise AlgorithmError(
             "fleet lanes do not support snapshot/rollback: use a standalone "
-            "LoadState for tentative-move search"
-        )
-
-    def trial_congestions(self, columns):
-        """Unsupported on lanes (see :meth:`snapshot`)."""
-        raise AlgorithmError(
-            "fleet lanes do not support trial evaluation: use a standalone "
             "LoadState for tentative-move search"
         )

@@ -39,7 +39,7 @@ would overflow that range.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -434,52 +434,6 @@ class PathMatrix:
     ) -> np.ndarray:
         """Per-edge loads of weighted request pairs ``u[i] -> v[i]``."""
         return self.edge_loads_from_deltas(self.pair_deltas(u, v, w))
-
-    def pair_deltas_lanes(
-        self,
-        u: np.ndarray,
-        targets: np.ndarray,
-        w: np.ndarray,
-        anc: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-lane node-delta columns for shared sources, per-lane targets.
-
-        The fleet replay shape: every lane serves the same weighted request
-        sources ``u`` (with weights ``w``), but lane ``k`` routes pair ``i``
-        to its own target ``targets[i, k]``.  Column ``k`` of the result is
-        exactly ``pair_deltas(u, targets[:, k], w)`` (integer-exact, so
-        bit-for-bit), evaluated with one batched LCA pass and three 2-D
-        scatters instead of K separate calls.  Callers that already hold
-        ``lca(u[:, None], targets)`` (the fleet path derives its distance
-        booking from the same ancestors) pass it as ``anc`` to avoid a
-        second lifting pass.
-        """
-        u = np.ascontiguousarray(u, dtype=np.int64)
-        targets = np.ascontiguousarray(targets, dtype=np.int64)
-        w = np.ascontiguousarray(w, dtype=np.float64)
-        if targets.ndim != 2 or targets.shape[0] != u.size:
-            raise InvalidNodeError("targets must have shape (len(u), n_lanes)")
-        n_lanes = targets.shape[1]
-        delta = np.zeros((self.n_nodes, n_lanes), dtype=np.float64)
-        if u.size == 0:
-            return delta
-        if anc is None:
-            anc = self.lca(u[:, None], targets)
-        anc = np.ascontiguousarray(anc, dtype=np.int64)
-        kernels.pair_scatter_lanes(delta, u, targets, anc, w)
-        return delta
-
-    def pair_edge_loads_lanes(
-        self,
-        u: np.ndarray,
-        targets: np.ndarray,
-        w: np.ndarray,
-        anc: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-lane edge-load columns ``(n_edges, n_lanes)`` (see above)."""
-        return self.edge_loads_from_deltas(
-            self.pair_deltas_lanes(u, targets, w, anc)
-        )
 
     def steiner_edge_loads(
         self,

@@ -327,6 +327,157 @@ def _bulk_nearest_tables(pm, procs: np.ndarray, n_nodes: int, requests) -> None:
             cache[obj] = table
 
 
+#: Scratch budget (bytes) of one marked chunk pass: the per-segment
+#: node-delta, edge-load and trial columns.  A chunk with more marks than
+#: fit is served in blocks of marks, so scratch memory stays bounded on
+#: huge networks.
+_MARK_SCRATCH_BYTES = 8 << 20
+
+
+def _mark_block(state, n_lanes: int = 1) -> int:
+    """Marks per pass that keep the segment columns within the budget."""
+    rows = state.n_edges + state.n_nodes
+    return max(1, _MARK_SCRATCH_BYTES // (24 * rows * n_lanes))
+
+
+def _serve_split(serve_piece, read_congestion, start, stop, marks, block=1):
+    """Serve ``[start, stop)`` in pieces ending at every ``block``-th mark.
+
+    The shared split-at-marks helper: ``serve_piece(lo, hi, inner)``
+    serves ``[lo, hi)`` and returns the congestion rows at its ``inner``
+    marks (the piece's marks before its closing one); the congestion at
+    each closing mark is ``read_congestion()``.  With ``block=1`` every
+    piece is one segment and ``inner`` is empty -- the fallback of the
+    event loop and of reference accounts; larger blocks bound the scratch
+    memory of the one-pass marked replays.  Returns one row per mark.
+    """
+    rows: list = []
+    lo = start
+    n = len(marks)
+    for first in range(0, n, block):
+        last = min(first + block, n) - 1
+        hi = marks[last]
+        rows.extend(serve_piece(lo, hi, marks[first:last]))
+        rows.append(read_congestion())
+        lo = hi
+    serve_piece(lo, stop, ())
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _segments(start: int, stop: int, marks) -> np.ndarray:
+    """Segment of every event of ``[start, stop)``: the marks at or before it."""
+    if not len(marks):
+        return np.zeros(stop - start, dtype=np.int64)
+    return np.searchsorted(
+        np.asarray(marks, dtype=np.int64), np.arange(start, stop), side="right"
+    )
+
+
+#: Entries of one flat gather over stacked nearest tables (8 MiB).
+_GATHER_ENTRIES = 1 << 20
+
+
+def _gather_tables(tables, which, nodes) -> np.ndarray:
+    """``tables[which[i]][nodes[i]]`` for every ``i``, in flat gathers.
+
+    The tables (equal-length node arrays) are stacked into one flat array
+    per block of at most :data:`_GATHER_ENTRIES` entries, so the gather
+    costs one fancy index per block instead of one per table.
+    """
+    size = tables[0].size
+    per_block = max(1, _GATHER_ENTRIES // size)
+    if len(tables) <= per_block:
+        return np.concatenate(tables)[which * size + nodes]
+    out = np.empty(nodes.size, dtype=np.int64)
+    for lo in range(0, len(tables), per_block):
+        sel = (which >= lo) & (which < lo + per_block)
+        flat = np.concatenate(tables[lo:lo + per_block])
+        out[sel] = flat[(which[sel] - lo) * size + nodes[sel]]
+    return out
+
+
+def _pair_columns(pm, n_segs: int, u, targets, w, segs):
+    """Per-segment, per-lane edge loads of weighted request pairs.
+
+    Pair ``i`` charges ``w[i]`` on the path ``u[i] -> targets[i, k]`` in
+    segment ``segs[i]`` of lane ``k``: one LCA pass, one node-delta
+    scatter into an ``(n_nodes, n_segs, K)`` matrix (rows addressed as
+    ``node * n_segs + segment``), one root-path scatter.  Returns the
+    ``(n_edges, n_segs, K)`` edge columns; a column's sum is the cost
+    units its pairs book (path lengths times weights).
+    """
+    n_lanes = targets.shape[1]
+    delta = np.zeros((pm.n_nodes * n_segs, n_lanes), dtype=np.float64)
+    if u.size:
+        anc = pm.lca(u[:, None], targets)
+        if n_segs > 1:
+            rows = segs[:, None]
+            u, targets, anc = u * n_segs + segs, targets * n_segs + rows, anc * n_segs + rows
+        kernels.pair_scatter_lanes(
+            delta, u, np.ascontiguousarray(targets), np.ascontiguousarray(anc),
+            np.ascontiguousarray(w, dtype=np.float64),
+        )
+    columns = pm.edge_loads_from_deltas(delta.reshape(pm.n_nodes, -1))
+    return columns.reshape(pm.n_edges, n_segs, n_lanes)
+
+
+def _add_write_columns(columns: np.ndarray, cols, id_lists, which, counts) -> None:
+    """Add the write broadcasts to the edge columns.
+
+    Record ``r`` adds ``counts[r]`` to every edge of
+    ``id_lists[which[r]]`` in column ``cols[r]`` of the 2-D ``columns``;
+    the per-record edge lists are expanded from one flat CSR gather.
+    """
+    lens = np.fromiter(
+        (ids.size for ids in id_lists), dtype=np.int64, count=len(id_lists)
+    )
+    sizes = lens[which]
+    total = int(sizes.sum())
+    if total:
+        ends = np.cumsum(sizes)
+        # position of every expanded entry inside its record's edge list
+        within = np.arange(total) - np.repeat(ends - sizes, sizes)
+        offsets = np.cumsum(lens) - lens
+        rows = np.concatenate(id_lists)[np.repeat(offsets[which], sizes) + within]
+        n_cols = columns.shape[1]
+        columns += np.bincount(
+            rows * n_cols + np.repeat(cols, sizes),
+            weights=np.repeat(np.asarray(counts, dtype=np.float64), sizes),
+            minlength=columns.size,
+        ).reshape(columns.shape)
+
+
+def _charge_columns(states, columns: np.ndarray, prior) -> np.ndarray:
+    """Apply per-segment edge columns and report the congestion at marks.
+
+    ``columns`` has shape ``(n_edges, n_segments, K)``: lane ``k``'s edge
+    loads of each segment (segment ``j`` ends at mark ``j``; the last one
+    at the chunk end).  Their cumulative sums plus each lane's loads give
+    the state at every mark, read through ``trial_congestions``; the
+    summed column is then applied once per lane.  Loads are integers and
+    only grow within a chunk, so every value equals the running-max
+    congestion the lane would report after serving up to that mark
+    (ARCHITECTURE.md invariant 2).  ``prior`` holds each lane's congestion
+    before the chunk.  Returns shape ``(n_segments - 1, K)``.
+    """
+    np.cumsum(columns, axis=1, out=columns)
+    n_marks = columns.shape[1] - 1
+    out = np.empty((n_marks, len(states)), dtype=np.float64)
+    if n_marks:
+        for k, state in enumerate(states):
+            out[:, k] = np.maximum(
+                prior[k], state.trial_congestions(columns[:, :n_marks, k])
+            )
+    totals = columns[:, -1, :]
+    if len(states) == 1:
+        states[0].apply_edge_loads(totals[:, 0])
+    else:
+        states[0].parent.apply_edge_loads_lanes(
+            [state.lane_index for state in states], totals
+        )
+    return out
+
+
 class OnlineStrategy:
     """Interface of an online data management strategy."""
 
@@ -364,16 +515,29 @@ class OnlineStrategy:
     def _repair_strategy_state(self, outcome) -> None:
         """Hook for subclasses: remap holder ids after a mutation."""
 
-    def serve_chunk(self, sequence: RequestSequence, start: int, stop: int) -> None:
+    def serve_chunk(
+        self, sequence: RequestSequence, start: int, stop: int, marks=()
+    ) -> np.ndarray:
         """Serve the events ``sequence[start:stop]``.
 
-        The default implementation replays event by event, which is exact
-        for every strategy.  Strategies that do not adapt mid-chunk (the
-        static reference) override this with a vectorized batch charge that
-        produces bit-for-bit identical loads.
+        ``marks`` are ascending sample positions in ``[start, stop]``; the
+        result holds the account congestion after serving up to each mark
+        (one float per mark).  The default implementation replays event by
+        event, which is exact for every strategy.  The static and adaptive
+        strategies override this with one vectorized pass that produces
+        bit-for-bit the same loads and mark congestions.
         """
+        return _serve_split(
+            lambda lo, hi, _inner: self._serve_events(sequence, lo, hi),
+            lambda: self.account.congestion,
+            start, stop, marks,
+        )
+
+    def _serve_events(self, sequence: RequestSequence, start: int, stop: int):
+        """The event loop over ``sequence[start:stop]`` (no mark rows)."""
         for event in sequence.events[start:stop]:
             self.serve(event)
+        return ()
 
     def run(
         self, sequence: RequestSequence, chunk_size: Optional[int] = None
@@ -510,23 +674,24 @@ class StaticPlacementManager(OnlineStrategy):
             )
 
     @staticmethod
-    def _aggregate_chunk(sequence: RequestSequence, start: int, stop: int):
+    def _aggregate_chunk(
+        sequence: RequestSequence, start: int, stop: int, marks=()
+    ):
         """Shared chunk aggregation of the sequential and fleet paths.
 
-        Collapses ``sequence[start:stop]`` into unique ``(processor,
-        object)`` request pairs with multiplicities, the pair rows grouped
-        per object, and the written objects with write counts.  Both
-        :meth:`serve_chunk` and :meth:`serve_chunk_fleet` feed off this one
-        function, so the two paths cannot drift apart in how they
-        aggregate -- the bit-for-bit fleet parity contract depends on
-        that.  Returns ``None`` for an empty chunk.
+        Collapses ``sequence[start:stop]`` into unique ``(segment,
+        processor, object)`` request keys with multiplicities (the segment
+        of an event is the number of ``marks`` at or before its position)
+        and unique ``(segment, object)`` write keys with write counts.
+        Returns ``(segments, processors, objects, counts, write_segments,
+        written, write_counts)``, keys sorted lexicographically, or
+        ``None`` for an empty chunk.
 
-        The unique-pair pass runs through
+        The unique-key pass runs through
         :func:`repro.core.kernels.aggregate_pairs` (one int64-key sort
         instead of numpy's void-dtype column comparison); the historical
-        implementation is retained verbatim as
-        :meth:`_reference_aggregate_chunk` and the differential tests pin
-        the two to identical output.
+        implementation is retained as :meth:`_reference_aggregate_chunk`
+        and the differential tests pin the two to identical output.
         """
         procs, objs, writes = sequence.as_arrays()
         procs = procs[start:stop]
@@ -534,27 +699,27 @@ class StaticPlacementManager(OnlineStrategy):
         writes = writes[start:stop]
         if procs.size == 0:
             return None
-        uprocs, uobjs, counts = kernels.aggregate_pairs(procs, objs)
-        # group the pair rows per object in one sort pass (pairs sort by
-        # processor first, so the object row is not globally sorted); the
-        # stable order keeps each group's row indices ascending
-        order = np.argsort(uobjs, kind="stable")
-        uniq_objs, starts = np.unique(uobjs[order], return_index=True)
-        bounds = np.append(starts[1:], order.size)
-        by_object = [
-            (int(obj), order[lo:hi])
-            for obj, lo, hi in zip(uniq_objs, starts, bounds)
-        ]
-        written, write_counts = np.unique(objs[writes], return_counts=True)
-        return uprocs, counts, by_object, written, write_counts
+        segs = _segments(start, stop, marks)
+        n_procs = int(procs.max()) + 1
+        keys, uobjs, counts = kernels.aggregate_pairs(segs * n_procs + procs, objs)
+        n_objs = int(objs.max()) + 1
+        wkeys, write_counts = np.unique(
+            segs[writes] * n_objs + objs[writes], return_counts=True
+        )
+        return (
+            keys // n_procs, keys % n_procs, uobjs, counts,
+            wkeys // n_objs, wkeys % n_objs, write_counts,
+        )
 
     @staticmethod
-    def _reference_aggregate_chunk(sequence: RequestSequence, start: int, stop: int):
-        """Pre-kernel chunk aggregation, retained verbatim as the reference.
+    def _reference_aggregate_chunk(
+        sequence: RequestSequence, start: int, stop: int, marks=()
+    ):
+        """Pre-kernel chunk aggregation, retained as the reference.
 
-        Uses ``np.unique(..., axis=1)`` over the stacked pair rows; the
+        Uses ``np.unique(..., axis=1)`` over the stacked key rows; the
         differential tests assert that :meth:`_aggregate_chunk` produces
-        identical pairs, counts, per-object groups and write counts.
+        identical keys, counts and write counts.
         """
         procs, objs, writes = sequence.as_arrays()
         procs = procs[start:stop]
@@ -562,71 +727,130 @@ class StaticPlacementManager(OnlineStrategy):
         writes = writes[start:stop]
         if procs.size == 0:
             return None
-        pairs, counts = np.unique(
-            np.stack([procs, objs]), axis=1, return_counts=True
+        segs = _segments(start, stop, marks)
+        keys, counts = np.unique(
+            np.stack([segs, procs, objs]), axis=1, return_counts=True
         )
-        order = np.argsort(pairs[1], kind="stable")
-        uniq_objs, starts = np.unique(pairs[1][order], return_index=True)
-        bounds = np.append(starts[1:], order.size)
-        by_object = [
-            (int(obj), order[lo:hi])
-            for obj, lo, hi in zip(uniq_objs, starts, bounds)
-        ]
-        written, write_counts = np.unique(objs[writes], return_counts=True)
-        return pairs[0], counts, by_object, written, write_counts
+        wkeys, write_counts = np.unique(
+            np.stack([segs[writes], objs[writes]]), axis=1, return_counts=True
+        )
+        return keys[0], keys[1], keys[2], counts, wkeys[0], wkeys[1], write_counts
 
-    def serve_chunk(self, sequence: RequestSequence, start: int, stop: int) -> None:
+    def serve_chunk(
+        self, sequence: RequestSequence, start: int, stop: int, marks=()
+    ) -> np.ndarray:
         """Vectorized batch replay of one chunk (exact event-loop parity).
 
         The placement is fixed, so a chunk of events collapses into
-        aggregated request pairs (one column through the path-incidence
-        operator) plus one Steiner charge per written object.  All charged
-        quantities are integer-valued, so the resulting loads and cost units
-        are bit-for-bit equal to serving the same events one by one.
+        aggregated request keys plus write counts, evaluated in one pass
+        (see :meth:`_serve_lanes`) that also yields the congestion at every
+        mark.  All charged quantities are integer-valued, so the resulting
+        loads, cost units and mark congestions are bit-for-bit equal to
+        serving the same events one by one.  Reference accounts (no load
+        state to scatter into) take the event loop.
         """
-        aggregated = self._aggregate_chunk(sequence, start, stop)
-        if aggregated is None:
-            return
-        u, counts, by_object, written, write_counts = aggregated
-        # resolve each unique pair's reference copy via the per-object
-        # tables (built in one bulk LCA pass, gathered per object)
-        self._nearest_tables_bulk([obj for obj, _ in by_object])
-        targets = np.empty(u.size, dtype=np.int64)
-        for obj, rows in by_object:
-            targets[rows] = self._nearest_table(obj)[u[rows]]
-        self.account.charge_pairs(u, targets, counts)
-        for obj, count in zip(written, write_counts):
-            self.account.charge_steiner(
-                self.rooted,
-                sorted(self._placement.holders(int(obj))),
-                amount=int(count),
-            )
+        if getattr(self.account, "state", None) is None:
+            return super().serve_chunk(sequence, start, stop, marks)
+        return self._serve_lanes([self], sequence, start, stop, marks)[:, 0]
 
     def run_batch(self, sequence: RequestSequence) -> OnlineCostAccount:
         """Replay the whole sequence as one batch (see :meth:`serve_chunk`)."""
         return self.run(sequence, chunk_size=max(1, len(sequence)))
 
     @classmethod
+    def _serve_lanes(cls, managers, sequence, start, stop, marks) -> np.ndarray:
+        """One marked pass over ``sequence[start:stop]`` for K managers.
+
+        The managers' states are one standalone state (K = 1) or lanes of
+        one :class:`~repro.core.loadstate.StackedLoadState`.  Keys are
+        ``(segment, processor, object)``: every key's nearest copy is
+        gathered per lane from the cached per-object tables, one LCA pass
+        and one node-delta scatter fill a ``(n_nodes, segments × K)``
+        matrix, one root-path scatter turns it into per-segment edge
+        columns, and the write broadcasts add each object's Steiner edges
+        to its segment's column.  :func:`_charge_columns` then reads the
+        congestion at every mark and applies each lane's summed column
+        once.  Returns shape ``(len(marks), K)``.
+        """
+        states = [manager.account.state for manager in managers]
+        n_lanes = len(managers)
+        block = max(1, min(
+            _mark_block(states[0], n_lanes),
+            # the (segment, processor, object) keys must stay below 2**62
+            2**62 // (states[0].n_nodes * max(1, sequence.n_objects)) - 1,
+        ))
+        if len(marks) >= block:
+            return _serve_split(
+                lambda lo, hi, inner: cls._serve_lanes(
+                    managers, sequence, lo, hi, inner
+                ),
+                lambda: [state.congestion for state in states],
+                start, stop, marks, block,
+            ).reshape(len(marks), n_lanes)
+        # the congestion before the chunk (only read when there are marks)
+        prior = [state.congestion if len(marks) else 0.0 for state in states]
+        aggregated = cls._aggregate_chunk(sequence, start, stop, marks)
+        if aggregated is None:
+            return np.tile(np.asarray(prior, dtype=np.float64), (len(marks), 1))
+        segs, u, uobjs, counts, wsegs, written, write_counts = aggregated
+        objs, obj_index = np.unique(uobjs, return_inverse=True)
+        objs = objs.tolist()
+        targets = np.empty((u.size, n_lanes), dtype=np.int64)
+        for k, manager in enumerate(managers):
+            manager._nearest_tables_bulk(objs)
+            targets[:, k] = _gather_tables(
+                [manager._nearest_table(obj) for obj in objs], obj_index, u
+            )
+
+        columns = _pair_columns(
+            states[0].pm, len(marks) + 1, u, targets, counts, segs
+        )
+        if written.size:
+            # every lane's write broadcasts in one scatter: record (k, r)
+            # is lane k's copy of write key r
+            entry_source = getattr(states[0], "parent", states[0])
+            wobjs, which = np.unique(written, return_inverse=True)
+            ids = [
+                manager._steiner_edge_ids_for(int(obj), entry_source)
+                for manager in managers
+                for obj in wobjs
+            ]
+            lanes = np.arange(n_lanes)[:, None]
+            _add_write_columns(
+                columns.reshape(columns.shape[0], -1),
+                (wsegs * n_lanes + lanes).ravel(),
+                ids,
+                (lanes * wobjs.size + which).ravel(),
+                np.tile(write_counts, n_lanes),
+            )
+        # every charge is service traffic: a lane's units are its loads
+        booked = columns.sum(axis=(0, 1))
+        for k, manager in enumerate(managers):
+            manager.account._book(int(booked[k]), False)
+        return _charge_columns(states, columns, prior)
+
+    @classmethod
     def serve_chunk_fleet(
-        cls, managers: Sequence["StaticPlacementManager"], sequence, start, stop
-    ) -> None:
+        cls, managers: Sequence["StaticPlacementManager"], sequence, start, stop,
+        marks=(),
+    ) -> np.ndarray:
         """Serve one chunk for a whole fleet of static managers at once.
 
         The fleet-replay group hook (see
         :func:`~repro.sim.protocol.fleet_groups`): all managers replay the
-        same events, so the chunk aggregation (unique ``(processor,
-        object)`` pairs and write counts) is computed **once**, nearest-copy
-        targets are gathered per lane from the cached per-object tables,
-        the LCA/distance pass runs batched over all lanes and the resulting
-        per-lane edge-load columns go into the shared
+        same events, so the chunk aggregation is computed **once**,
+        nearest-copy targets are gathered per lane, the LCA and scatter
+        passes run batched over all lanes, and the resulting per-lane
+        columns go into the shared
         :class:`~repro.core.loadstate.StackedLoadState` as one
-        lane-broadcast scatter.  Per-lane write broadcasts reuse the shared
-        Steiner scatter-entry cache.
+        lane-broadcast apply (:meth:`_serve_lanes`).  Returns the
+        congestion at every mark per lane, shape ``(len(marks), K)``.
 
         All charged quantities are integer request counts, so every lane's
-        loads and cost units are bit-for-bit those of calling the member's
-        :meth:`serve_chunk` on its own.  Falls back to exactly that when
-        the managers' accounts do not sit on lanes of one stacked state.
+        loads, cost units and mark congestions are bit-for-bit those of
+        calling the member's :meth:`serve_chunk` on its own.  Falls back to
+        exactly that when the managers' accounts do not sit on lanes of one
+        stacked state.
         """
         from repro.core.loadstate import LaneState
 
@@ -636,51 +860,11 @@ class StaticPlacementManager(OnlineStrategy):
             and len({id(s.parent) for s in states}) == 1
         )
         if not stacked:
-            for manager in managers:
-                manager.serve_chunk(sequence, start, stop)
-            return
-
-        aggregated = cls._aggregate_chunk(sequence, start, stop)
-        if aggregated is None:
-            return
-        u, counts, by_object, written, write_counts = aggregated
-        targets = np.empty((u.size, len(managers)), dtype=np.int64)
-        for k, manager in enumerate(managers):
-            manager._nearest_tables_bulk([obj for obj, _ in by_object])
-            for obj, rows in by_object:
-                targets[rows, k] = manager._nearest_table(obj)[u[rows]]
-
-        parent = states[0].parent
-        lanes = [s.lane_index for s in states]
-        w = counts.astype(np.float64)
-        # one batched LCA pass feeds both the distance booking and the
-        # pair scatters (same depth arithmetic as pm.distances)
-        pm = parent.pm
-        anc = pm.lca(u[:, None], targets)
-        depth = pm.depths
-        dists = depth[u][:, None] + depth[targets] - 2 * depth[anc]
-        columns = pm.pair_edge_loads_lanes(u, targets, w, anc)
-        parent.apply_edge_loads_lanes(lanes, columns)
-        for k, manager in enumerate(managers):
-            manager.account._book(int(round(float(dists[:, k] @ w))), False)
-
-        # write broadcasts: one per-lane Steiner column through the shared
-        # entry cache, applied as a second lane-broadcast scatter.  All
-        # charges in a span are non-negative, so the end-of-span congestion
-        # (the only observation point) equals the per-charge running max of
-        # the sequential path bit-for-bit.
-        if written.size:
-            steiner_cols = np.zeros((parent.n_edges, len(managers)))
-            for k, manager in enumerate(managers):
-                column = steiner_cols[:, k]
-                booked = 0
-                for obj, count in zip(written, write_counts):
-                    edge_ids = manager._steiner_edge_ids_for(int(obj), parent)
-                    if edge_ids.size:
-                        column[edge_ids] += count
-                        booked += int(count) * int(edge_ids.size)
-                manager.account._book(booked, False)
-            parent.apply_edge_loads_lanes(lanes, steiner_cols)
+            return np.column_stack([
+                manager.serve_chunk(sequence, start, stop, marks)
+                for manager in managers
+            ])
+        return cls._serve_lanes(managers, sequence, start, stop, marks)
 
 
 class EdgeCounterManager(OnlineStrategy):
@@ -916,7 +1100,8 @@ class EdgeCounterManager(OnlineStrategy):
         one record per copy movement to ``mgmt_direct`` (migrations --
         source holder known) or ``mgmt_rep`` (replications -- source is
         the nearest pre-crossing copy, resolved against the bulk-built
-        tables in phase 2).  Counters are mirrored into plain lists for
+        tables in phase 2), each with the chunk position of the event
+        that triggered it.  Counters are mirrored into plain lists for
         the scan (NumPy scalar indexing would dominate an all-Python loop)
         and written back once.
         """
@@ -971,7 +1156,7 @@ class EdgeCounterManager(OnlineStrategy):
                             c = credit[p] + 1
                             if c >= migrate_at:
                                 old = holders[0]
-                                mgmt_direct.append((old, p))
+                                mgmt_direct.append((old, p, i))
                                 unread[old] = 0
                                 holders = [p]
                                 hset = {p}
@@ -991,7 +1176,7 @@ class EdgeCounterManager(OnlineStrategy):
                             # the lonely copy follows the persistent writer
                             runs.append((obj, (wh,), run_start,
                                          t + 1, wcount))
-                            mgmt_direct.append((wh, p))
+                            mgmt_direct.append((wh, p, i))
                             holders = [p]
                             hset = {p}
                             unread[p] = 0
@@ -1010,7 +1195,7 @@ class EdgeCounterManager(OnlineStrategy):
                     if c >= replicate_at:
                         pre = tuple(holders)
                         runs.append((obj, pre, run_start, t + 1, wcount))
-                        mgmt_rep.append((pre, p))
+                        mgmt_rep.append((pre, p, i))
                         insort(holders, p)
                         hset.add(p)
                         unread[p] = 0
@@ -1048,31 +1233,39 @@ class EdgeCounterManager(OnlineStrategy):
                 requests.append((tables, holders, holders))
         return requests
 
-    def _apply_deferred(self, chunk_procs: np.ndarray, pos_arrays,
-                        runs: List[tuple], mgmt_direct: List[tuple],
-                        mgmt_rep: List[tuple]) -> None:
+    def _apply_deferred(self, chunk, pos_arrays, runs: List[tuple],
+                        mgmt_direct: List[tuple], mgmt_rep: List[tuple],
+                        segs: np.ndarray, n_segs: int,
+                        prior: float) -> np.ndarray:
         """Phase 2 of the batched replay: resolve targets and charge.
 
         Every charge of a chunk commutes -- integer amounts into float64
         accumulators are exact in any order, and congestion is a monotone
-        running max observed only at chunk boundaries, the same argument
-        the static chunk path rests on -- so the runs recorded by phase 1
-        collapse into three scatters: one aggregated service-pair charge
-        (requests against the nearest copy of the run\'s holder set), one
-        accumulated write-broadcast Steiner column, and one management
-        charge covering all replication/migration copy movements.
+        running max -- so the runs recorded by phase 1 collapse into one
+        pass: service pairs (requests against the nearest copy of the
+        run's holder set), write-broadcast Steiner counts and copy
+        movements are bucketed by the segment of their event position
+        (``segs``, one per chunk event; segment ``j`` ends at mark ``j``),
+        aggregated into per-segment edge columns and applied through
+        :func:`_charge_columns`.  Returns the congestion at each of the
+        ``n_segs - 1`` marks; ``prior`` is the congestion before the chunk.
         """
+        chunk_procs, chunk_writes = chunk
         tables = self._tables_by_holders
         state = self.account.state
         entry_source = getattr(state, "parent", state)
         n_nodes = np.int64(self.network.n_nodes)
         u_parts: List[np.ndarray] = []
         v_parts: List[np.ndarray] = []
-        steiner_col = None
-        booked = 0
+        seg_parts: List[np.ndarray] = []
+        write_ids: List[np.ndarray] = []
+        write_pos: List[np.ndarray] = []
+        write_counts: List[int] = []
         for obj, holders, lo, hi, wc in runs:
-            ep = chunk_procs[pos_arrays[obj][lo:hi]]
+            idx = pos_arrays[obj][lo:hi]
+            ep = chunk_procs[idx]
             u_parts.append(ep)
+            seg_parts.append(segs[idx])
             if len(holders) == 1:
                 v_parts.append(np.full(ep.size, holders[0], dtype=np.int64))
             else:
@@ -1080,48 +1273,77 @@ class EdgeCounterManager(OnlineStrategy):
                 if wc:
                     ids = entry_source._steiner_entry(frozenset(holders))[0]
                     if ids.size:
-                        if steiner_col is None:
-                            steiner_col = np.zeros(entry_source.n_edges)
-                        steiner_col[ids] += wc
-                        booked += wc * int(ids.size)
-        if u_parts:
-            u = np.concatenate(u_parts)
-            v = np.concatenate(v_parts)
-            # aggregate identical (requester, target) pairs before the
-            # path-incidence scatter, like the static chunk path does
-            keys, counts = np.unique(u * n_nodes + v, return_counts=True)
-            self.account.charge_pairs(keys // n_nodes, keys % n_nodes, counts)
-        if steiner_col is not None:
-            state.apply_edge_loads(steiner_col)
-            self.account._book(booked, False)
-        if mgmt_direct or mgmt_rep:
-            srcs = [src for src, _p in mgmt_direct]
-            dsts = [p for _src, p in mgmt_direct]
-            for holders, p in mgmt_rep:
-                srcs.append(holders[0] if len(holders) == 1
-                            else int(tables[holders][p]))
-                dsts.append(p)
-            self.account.charge_pairs(
-                np.asarray(srcs, dtype=np.int64),
-                np.asarray(dsts, dtype=np.int64),
-                np.full(len(srcs), self.object_size, dtype=np.int64),
-                management=True,
+                        write_ids.append(ids)
+                        write_counts.append(wc)
+                        if n_segs > 1:
+                            write_pos.append(idx[chunk_writes[idx]])
+        # aggregate identical (segment, requester, target) service pairs
+        # before the path-incidence scatter, like the static chunk path
+        u = np.concatenate(u_parts)
+        v = np.concatenate(v_parts)
+        keys, counts = np.unique(
+            (np.concatenate(seg_parts) * n_nodes + u) * n_nodes + v,
+            return_counts=True,
+        )
+        srcs = [src for src, _p, _i in mgmt_direct]
+        dsts = [p for _src, p, _i in mgmt_direct]
+        at = [i for _src, _p, i in mgmt_direct]
+        for holders, p, i in mgmt_rep:
+            srcs.append(holders[0] if len(holders) == 1 else int(tables[holders][p]))
+            dsts.append(p)
+            at.append(i)
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        columns = _pair_columns(
+            state.pm, n_segs,
+            np.concatenate([keys // n_nodes % n_nodes, srcs]),
+            np.concatenate([keys % n_nodes, dsts])[:, None],
+            np.concatenate([counts, np.full(srcs.size, self.object_size)]),
+            np.concatenate([keys // (n_nodes * n_nodes), segs[np.asarray(at, dtype=np.int64)]]),
+        )
+        if write_ids:
+            if n_segs > 1:
+                # split each run's writes over the segments they fall in
+                lens = np.fromiter((p.size for p in write_pos), dtype=np.int64,
+                                   count=len(write_pos))
+                run_keys, write_counts = np.unique(
+                    np.repeat(np.arange(lens.size), lens) * n_segs
+                    + segs[np.concatenate(write_pos)],
+                    return_counts=True,
+                )
+                which = run_keys // n_segs
+                write_cols = run_keys % n_segs
+            else:
+                which = np.arange(len(write_ids))
+                write_cols = np.zeros(len(write_ids), dtype=np.int64)
+            _add_write_columns(
+                columns[:, :, 0], write_cols, write_ids, which, write_counts
             )
+        # the columns hold every charged unit; copy movements are management
+        management = self.object_size * int(state.pm.distances(srcs, dsts).sum())
+        self.account._book(int(columns.sum()) - management, False)
+        if srcs.size:
+            self.account._book(management, True)
+        return _charge_columns([state], columns, [prior])[:, 0]
 
     def _decode_chunk(self, sequence: RequestSequence, start: int, stop: int):
-        """Chunk decode shared by the sequential and fleet paths: plain
-        event-column lists for the Python scan plus per-object position
-        lists (insertion order preserves the event order per object)."""
+        """Chunk decode shared by the sequential and fleet paths: the
+        chunk's processor and write columns, plain event-column lists for
+        the Python scan, and per-object position lists (insertion order
+        preserves the event order per object)."""
         procs_all, objs_all, writes_all = sequence.as_arrays()
         chunk_procs = np.asarray(procs_all[start:stop], dtype=np.int64)
+        chunk_writes = writes_all[start:stop]
         procs = chunk_procs.tolist()
-        writes = writes_all[start:stop].tolist()
+        writes = chunk_writes.tolist()
         positions: Dict[int, List[int]] = {}
         for i, obj in enumerate(objs_all[start:stop].tolist()):
             positions.setdefault(obj, []).append(i)
-        return chunk_procs, procs, writes, positions
+        return (chunk_procs, chunk_writes), procs, writes, positions
 
-    def serve_chunk(self, sequence: RequestSequence, start: int, stop: int) -> None:
+    def serve_chunk(
+        self, sequence: RequestSequence, start: int, stop: int, marks=()
+    ) -> np.ndarray:
         """Vectorized batch replay of one chunk (exact event-loop parity).
 
         Within a chunk, the counters of an ``(object, processor)`` pair
@@ -1131,24 +1353,27 @@ class EdgeCounterManager(OnlineStrategy):
         pure-Python counter scan (:meth:`_replay_positions`), decoupled
         from the charge frontier.  The recorded maximal static runs are
         then charged in bulk (:meth:`_apply_deferred`): one blocked
-        distance pass builds every missing nearest table, one aggregated
-        pair scatter carries the service traffic, one Steiner column the
-        write broadcasts, and one management scatter the copy movements.
+        distance pass builds every missing nearest table, and one
+        segment-bucketed pair scatter plus the write-broadcast Steiner
+        counts yield the edge columns of every segment between ``marks``.
         Integer charges commute exactly, so loads, cost units, holder
-        sets and end-of-chunk congestion are bit-for-bit those of
+        sets and the congestion at every mark are bit-for-bit those of
         event-by-event serving; the differential suites pin this under
-        churn and across chunk grids.
+        churn, across chunk grids and across mark sets.
         """
-        n = stop - start
-        if n <= 0:
-            return
-        if n == 1 or getattr(self.account, "state", None) is None:
+        if stop - start <= 1 or getattr(self.account, "state", None) is None:
             # Single events and reference accounts (no LoadState to
             # scatter into) go through the scalar path.
-            for event in sequence.events[start:stop]:
-                self.serve(event)
-            return
-        chunk_procs, procs, writes, positions = self._decode_chunk(
+            return super().serve_chunk(sequence, start, stop, marks)
+        block = _mark_block(self.account.state)
+        if len(marks) >= block:
+            return _serve_split(
+                lambda lo, hi, inner: self.serve_chunk(sequence, lo, hi, inner),
+                lambda: self.account.congestion,
+                start, stop, marks, block,
+            )
+        prior = self.account.congestion if len(marks) else 0.0
+        chunk, procs, writes, positions = self._decode_chunk(
             sequence, start, stop
         )
         runs: List[tuple] = []
@@ -1167,48 +1392,56 @@ class EdgeCounterManager(OnlineStrategy):
             obj: np.asarray(pos, dtype=np.int64)
             for obj, pos in positions.items()
         }
-        self._apply_deferred(chunk_procs, pos_arrays, runs,
-                             mgmt_direct, mgmt_rep)
+        return self._apply_deferred(chunk, pos_arrays, runs, mgmt_direct,
+                                    mgmt_rep, _segments(start, stop, marks),
+                                    len(marks) + 1, prior)
 
     # ------------------------------------------------------------------ #
     # fleet group hook: K adaptive lanes share decode and table builds
     # ------------------------------------------------------------------ #
     @classmethod
     def serve_chunk_fleet(
-        cls, managers: Sequence["EdgeCounterManager"], sequence, start, stop
-    ) -> None:
+        cls, managers: Sequence["EdgeCounterManager"], sequence, start, stop,
+        marks=(),
+    ) -> np.ndarray:
         """Serve one chunk for a whole fleet of adaptive managers at once.
 
         K lanes (different ``object_size`` / ``invalidation_patience`` /
         threshold tunings) share one chunk decode, one per-object position
-        index, and one blocked distance pass for every nearest table any
-        lane is missing -- lanes whose holder sets agree share the very
-        table object, lanes that diverge get their own.  Each lane then
-        runs its own counter scan and applies its own deferred charges
-        (through its lane of the shared
-        :class:`~repro.core.loadstate.StackedLoadState` when stacked, with
-        the Steiner scatter entries shared substrate-wide), because the
-        run grids of differently-tuned lanes genuinely diverge.  Every
-        lane\'s loads, cost units and holder sets are bit-for-bit those of
-        K sequential scalar runs (ARCHITECTURE.md invariants 6/7);
-        ``test_fleet_parity.py`` pins it.
+        index, one segment index of the ``marks``, and one blocked
+        distance pass for every nearest table any lane is missing --
+        lanes whose holder sets agree share the very table object, lanes
+        that diverge get their own.  Each lane then runs its own counter
+        scan and applies its own deferred charges (through its lane of the
+        shared :class:`~repro.core.loadstate.StackedLoadState` when
+        stacked, with the Steiner scatter entries shared substrate-wide),
+        because the run grids of differently-tuned lanes genuinely
+        diverge.  Every lane\'s loads, cost units, holder sets and mark
+        congestions (returned with shape ``(len(marks), K)``) are
+        bit-for-bit those of K sequential scalar runs (ARCHITECTURE.md
+        invariants 6/7); ``test_fleet_parity.py`` pins it.
         """
-        if len({id(m.rooted) for m in managers}) != 1 or any(
-            getattr(m.account, "state", None) is None for m in managers
+        if (
+            stop - start <= 1
+            or len({id(m.rooted) for m in managers}) != 1
+            or any(getattr(m.account, "state", None) is None for m in managers)
         ):
-            for manager in managers:
-                manager.serve_chunk(sequence, start, stop)
-            return
-        n = stop - start
-        if n <= 0:
-            return
-        if n == 1:
-            event = sequence.events[start]
-            for manager in managers:
-                manager.serve(event)
-            return
+            return np.column_stack([
+                manager.serve_chunk(sequence, start, stop, marks)
+                for manager in managers
+            ])
         lead = managers[0]
-        chunk_procs, procs, writes, positions = lead._decode_chunk(
+        block = _mark_block(lead.account.state)
+        if len(marks) >= block:
+            return _serve_split(
+                lambda lo, hi, inner: cls.serve_chunk_fleet(
+                    managers, sequence, lo, hi, inner
+                ),
+                lambda: [manager.account.congestion for manager in managers],
+                start, stop, marks, block,
+            ).reshape(len(marks), len(managers))
+        prior = [m.account.congestion if len(marks) else 0.0 for m in managers]
+        chunk, procs, writes, positions = lead._decode_chunk(
             sequence, start, stop
         )
         per_lane: List[tuple] = []
@@ -1232,9 +1465,13 @@ class EdgeCounterManager(OnlineStrategy):
             obj: np.asarray(pos, dtype=np.int64)
             for obj, pos in positions.items()
         }
-        for manager, (runs, mgmt_direct, mgmt_rep) in zip(managers, per_lane):
-            manager._apply_deferred(chunk_procs, pos_arrays, runs,
-                                    mgmt_direct, mgmt_rep)
+        segs = _segments(start, stop, marks)
+        return np.column_stack([
+            manager._apply_deferred(chunk, pos_arrays, runs, mgmt_direct,
+                                    mgmt_rep, segs, len(marks) + 1, prior[k])
+            for k, (manager, (runs, mgmt_direct, mgmt_rep))
+            in enumerate(zip(managers, per_lane))
+        ])
 
 
 class HysteresisCounterManager(EdgeCounterManager):

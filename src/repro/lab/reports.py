@@ -92,6 +92,16 @@ _BENCH_RATIOS = (
         "benchmarks/bench_huge.py::test_huge_replay_numpy_reference",
         "benchmarks/bench_huge.py::test_huge_replay_compiled",
     ),
+    (
+        "sampling cost, hindsight-static (spec sinks vs none)",
+        "benchmarks/bench_sim.py::test_zipf_x300_replay[spec-sinks-hindsight-static]",
+        "benchmarks/bench_sim.py::test_zipf_x300_replay[no-sinks-hindsight-static]",
+    ),
+    (
+        "sampling cost, edge-counter (spec sinks vs none)",
+        "benchmarks/bench_sim.py::test_zipf_x300_replay[spec-sinks-edge-counter]",
+        "benchmarks/bench_sim.py::test_zipf_x300_replay[no-sinks-edge-counter]",
+    ),
 )
 
 

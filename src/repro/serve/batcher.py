@@ -13,9 +13,10 @@ micro-batches: consecutive request batches accumulate until the
 configured batch size, and every mutation / flush / end message is a
 barrier that drains the buffer first (the ordering contract of the
 recorder -- a mutation's time is the number of requests ingested before
-it).  Because the engine stream re-cuts every batch at the offline span
-grid, the coalescing is invisible in the results (invariant 10); it only
-sets the amortisation granularity of the chunk fast path.
+it).  Because the engine stream cuts every batch only at the offline
+chunk grid and samples at marks inside it, the coalescing is invisible
+in the results (invariant 10); it only sets the amortisation granularity
+of the chunk fast path.
 """
 
 from __future__ import annotations
@@ -312,9 +313,9 @@ def resume_session(path, sync: bool = False):
     trailing line, dropping a graceful ``aborted`` footer), rebuilds the
     session exactly as the server originally built it, and replays the
     journal's events and mutations in recorded order through the live
-    :class:`~repro.sim.engine.EngineStream`.  Because the stream re-cuts
-    every batch at the offline span grid (invariant 10), the rebuilt
-    session is in the *identical* state the crashed one was at the
+    :class:`~repro.sim.engine.EngineStream`.  Because the stream serves
+    every batch exactly as the offline engine would (invariant 10), the
+    rebuilt session is in the *identical* state the crashed one was at the
     watermark -- which is what makes "recovered equals uninterrupted"
     (invariant 11) an exact statement rather than a best effort.
 

@@ -3,8 +3,10 @@
 :class:`SimulationEngine` drives a :class:`~repro.sim.protocol.PlacementStrategy`
 through the merged timeline of a request sequence and an optional churn
 trace.  Between mutation points it stays on the vectorized chunk fast path
-(:meth:`serve_chunk`, one path-incidence scatter for non-adapting
-strategies); at mutation points it applies the mutation functionally,
+(:meth:`serve_chunk`, one path-incidence pass per span); the sinks' sample
+positions go into that call as *marks* and come back as the congestion at
+each of them, so sampling never cuts a span.  At mutation points it
+applies the mutation functionally,
 repairs the strategy in place and keeps the reference-id mapping of the
 churn model up to date (requests from departed or not-yet-arrived
 processors are counted as dropped).  Metrics flow through the pluggable
@@ -37,7 +39,7 @@ from repro.network.mutation import (
 )
 from repro.sim.protocol import fleet_groups, validate_strategy
 from repro.sim.sinks import MetricsSink
-from repro.sim.timeline import MutationPoint, ServeSpan, merge_timeline
+from repro.sim.timeline import MutationPoint, merge_timeline
 
 __all__ = [
     "SimulationEngine",
@@ -53,18 +55,20 @@ def _remap_span(
     stop: int,
     current_of_ref: np.ndarray,
     n_refs: int,
-) -> Tuple[Optional[RequestSequence], int, int, int, int]:
+) -> Tuple[Optional[RequestSequence], int, int, Optional[np.ndarray]]:
     """Resolve one serve span under the reference-id mapping.
 
     The mapping is constant within a span (mutations only happen at span
     boundaries), so the kept events form one chunk.  Returns
-    ``(sub, sub_start, sub_stop, served, dropped)``: when every reference
-    maps to itself the original sequence slice is returned directly
-    (keeping its cached columnar view), otherwise a remapped sub-sequence
-    covering exactly the kept events; ``sub`` is ``None`` when every event
-    of the span dropped.
+    ``(sub, sub_start, sub_stop, kept)``: when every reference maps to
+    itself the original sequence slice is returned directly (keeping its
+    cached columnar view) with ``kept`` ``None``, otherwise a remapped
+    sub-sequence covering exactly the kept events and ``kept``, the
+    per-event kept flags of the span; ``sub`` is ``None`` when every
+    event of the span dropped.
     """
     kept: List[RequestEvent] = []
+    flags: List[bool] = []
     identity = True
     for event in sequence.events[start:stop]:
         if not 0 <= event.processor < n_refs:
@@ -73,6 +77,7 @@ def _remap_span(
                 f"replay universe has {n_refs} reference ids"
             )
         proc = int(current_of_ref[event.processor])
+        flags.append(proc >= 0)
         if proc < 0:
             identity = False
             continue
@@ -82,11 +87,11 @@ def _remap_span(
             identity = False
             kept.append(RequestEvent(proc, event.obj, event.kind))
     if identity:
-        return sequence, start, stop, stop - start, 0
+        return sequence, start, stop, None
+    flags = np.asarray(flags, dtype=bool)
     if kept:
-        sub = RequestSequence(kept, sequence.n_objects)
-        return sub, 0, len(kept), len(kept), (stop - start) - len(kept)
-    return None, 0, 0, 0, stop - start
+        return RequestSequence(kept, sequence.n_objects), 0, len(kept), flags
+    return None, 0, 0, flags
 
 
 class _ReferenceTracker:
@@ -117,15 +122,96 @@ class _ReferenceTracker:
             self._next_attach += 1
 
 
-def _sink_boundaries(sink_sets, n_events: int) -> set:
-    """Span-break positions requested by the sinks' ``interval`` hints."""
-    boundaries = set()
-    for sinks in sink_sets:
-        for sink in sinks:
-            interval = sink.interval
-            if interval:
-                boundaries.update(range(interval, n_events, interval))
-    return boundaries
+def _sample_marks(sinks, start: int, stop: int) -> List[int]:
+    """The sinks' sample positions strictly inside ``(start, stop)``."""
+    marks = set()
+    for sink in sinks:
+        step = sink.interval
+        if step:
+            marks.update(range((start // step + 1) * step, stop, step))
+    return sorted(marks)
+
+
+class _MarkedSpan:
+    """One serve span resolved for serving at sample marks.
+
+    ``edges`` are the span's absolute segment edges ``(start, *marks,
+    stop)`` and ``kept[j]`` counts the events served before ``edges[j]``
+    (all of them without a remap; only the kept ones under churn).
+    ``sub`` / ``sub_start`` / ``sub_stop`` / ``sub_marks`` address the
+    events to serve (``sub`` is ``None`` when every event dropped).
+    ``remap`` is ``None`` or the ``(current_of_ref, n_refs)`` reference-id
+    mapping of a churn replay.
+    """
+
+    __slots__ = ("edges", "kept", "sub", "sub_start", "sub_stop", "sub_marks")
+
+    def __init__(self, sequence, start, stop, offset, marks, remap=None) -> None:
+        self.edges = [offset + start, *marks, offset + stop]
+        rel = np.asarray(self.edges, dtype=np.int64) - (offset + start)
+        flags = None
+        if remap is None:
+            sub, sub_start, sub_stop = sequence, start, stop
+        else:
+            sub, sub_start, sub_stop, flags = _remap_span(
+                sequence, start, stop, *remap
+            )
+        if flags is None:
+            self.kept = rel
+        else:
+            self.kept = np.concatenate([[0], np.cumsum(flags)])[rel]
+        self.sub, self.sub_start, self.sub_stop = sub, sub_start, sub_stop
+        self.sub_marks = [sub_start + int(k) for k in self.kept[1:-1]]
+
+
+def _serve_marked(strategy, span: _MarkedSpan) -> List[float]:
+    """Serve one resolved span; the congestion at each of its marks."""
+    if span.sub is None:
+        return [strategy.account.congestion] * len(span.sub_marks)
+    if not span.sub_marks:
+        strategy.serve_chunk(span.sub, span.sub_start, span.sub_stop)
+        return []
+    return np.asarray(strategy.serve_chunk(
+        span.sub, span.sub_start, span.sub_stop, marks=span.sub_marks
+    ), dtype=np.float64).tolist()
+
+
+def _emit_segments(engine, edges, kept, congestion) -> Tuple[int, int]:
+    """Count one served span and notify ``engine``'s sinks of its segments.
+
+    ``edges`` are the segment edges, ``kept`` the served-event counts at
+    them and ``congestion`` the account congestion at the marks
+    ``edges[1:-1]`` (at the span end ``boundary_congestion`` reads the
+    live account, only if a sink asks).  Each segment gets ``on_span``
+    with its own served/dropped split, then ``on_boundary``.  Returns the
+    span's ``(served, dropped)`` split.
+    """
+    served = int(kept[-1] - kept[0])
+    dropped = (edges[-1] - edges[0]) - served
+    engine.served += served
+    engine.dropped += dropped
+    if engine.sinks:
+        congestion = [*congestion, None]
+        kept = kept.tolist()
+        for j in range(len(edges) - 1):
+            a, b = edges[j], edges[j + 1]
+            n_served = kept[j + 1] - kept[j]
+            engine._boundary_congestion = congestion[j]
+            for sink in engine.sinks:
+                sink.on_span(engine, a, b, n_served, (b - a) - n_served)
+                sink.on_boundary(engine, b)
+    return served, dropped
+
+
+def _serve_span(engine, sequence, start, stop, offset=0, remap=None):
+    """Serve ``sequence[start:stop]`` (absolute positions start at
+    ``offset``) for one engine, its sinks' sample positions as marks."""
+    span = _MarkedSpan(
+        sequence, start, stop, offset,
+        _sample_marks(engine.sinks, offset + start, offset + stop), remap,
+    )
+    congestion = _serve_marked(engine.strategy, span)
+    return _emit_segments(engine, span.edges, span.kept, congestion)
 
 
 @dataclass
@@ -159,7 +245,25 @@ class SimulationResult:
         return None
 
 
-class SimulationEngine:
+class _EngineView:
+    """What sinks read off an engine: the account and the boundary congestion."""
+
+    _boundary_congestion: Optional[float] = None
+
+    @property
+    def account(self):
+        """The strategy's cost account (live view)."""
+        return self.strategy.account
+
+    @property
+    def boundary_congestion(self) -> float:
+        """Account congestion at the position of the current ``on_boundary``
+        call (at a sample mark the live account is further along)."""
+        value = self._boundary_congestion
+        return self.account.congestion if value is None else value
+
+
+class SimulationEngine(_EngineView):
     """Drive one strategy through one request/churn timeline.
 
     Parameters
@@ -168,9 +272,11 @@ class SimulationEngine:
         Any object implementing the
         :class:`~repro.sim.protocol.PlacementStrategy` protocol.
     sinks:
-        Metrics sinks; their ``interval`` hints become serve-span
-        boundaries so samples land at exact event positions while the
-        replay between them stays batched.
+        Metrics sinks.  Their ``interval`` hints become sample *marks*
+        handed into ``serve_chunk``: each sink still sees one
+        ``on_span``/``on_boundary`` pair per segment between marks, with
+        the congestion at that boundary in :attr:`boundary_congestion`,
+        while every span is served in one call.
     chunk_size:
         Optional upper bound on serve-span length (the batch replay
         grid).  ``None`` serves each uninterrupted span as one chunk.
@@ -192,11 +298,6 @@ class SimulationEngine:
         self.served = 0
         self.dropped = 0
         self.outcomes: List[MutationOutcome] = []
-
-    @property
-    def account(self):
-        """The strategy's cost account (live view)."""
-        return self.strategy.account
 
     # ------------------------------------------------------------------ #
     def run(
@@ -222,12 +323,12 @@ class SimulationEngine:
         self.dropped = 0
         self.outcomes = []
 
-        boundaries = _sink_boundaries([self.sinks], self.n_events)
-        items = merge_timeline(self.n_events, trace, self.chunk_size, boundaries)
+        items = merge_timeline(self.n_events, trace, self.chunk_size)
 
-        tracker = None
+        tracker = remap = None
         if trace is not None:
             tracker = _ReferenceTracker(strategy.network.n_nodes, trace)
+            remap = (tracker.current_of_ref, tracker.n_refs)
 
         for sink in self.sinks:
             sink.on_begin(self)
@@ -241,20 +342,7 @@ class SimulationEngine:
                 for sink in self.sinks:
                     sink.on_mutation(self, outcome)
             else:  # ServeSpan
-                start, stop = item.start, item.stop
-                if tracker is None:
-                    strategy.serve_chunk(sequence, start, stop)
-                    served, dropped = stop - start, 0
-                else:
-                    served, dropped = self._serve_remapped(
-                        sequence, start, stop,
-                        tracker.current_of_ref, tracker.n_refs,
-                    )
-                self.served += served
-                self.dropped += dropped
-                for sink in self.sinks:
-                    sink.on_span(self, start, stop, served, dropped)
-                    sink.on_boundary(self, stop)
+                _serve_span(self, sequence, item.start, item.stop, remap=remap)
         for sink in self.sinks:
             sink.on_end(self)
 
@@ -268,24 +356,6 @@ class SimulationEngine:
             outcomes=self.outcomes,
             sinks=self.sinks,
         )
-
-    def _serve_remapped(
-        self,
-        sequence: RequestSequence,
-        start: int,
-        stop: int,
-        current_of_ref: np.ndarray,
-        n_refs: int,
-    ) -> Tuple[int, int]:
-        """Serve one span under the reference-id mapping (see
-        :func:`_remap_span`; the kept chunk goes through the same chunk
-        fast path)."""
-        sub, sub_start, sub_stop, served, dropped = _remap_span(
-            sequence, start, stop, current_of_ref, n_refs
-        )
-        if sub is not None and sub_stop > sub_start:
-            self.strategy.serve_chunk(sub, sub_start, sub_stop)
-        return served, dropped
 
     # ------------------------------------------------------------------ #
     # fleet replay: all strategies in one stacked pass over the timeline
@@ -325,10 +395,10 @@ class SimulationEngine:
           each span is resolved once.
 
         Per-lane metrics flow through per-strategy sink sets (``sinks[k]``
-        observes lane ``k`` through its own engine view).  Serve spans
-        break at the union of all lanes' sink intervals; with equal sink
-        configurations per lane -- the scenario-registry shape -- that is
-        exactly the sequential span structure.
+        observes lane ``k`` through its own engine view).  Each span is
+        served once with the union of all lanes' sample marks; every lane's
+        sinks then see exactly the segments of its *own* marks, as in a
+        sequential run, whatever the other lanes sample.
 
         The results are **bit-for-bit** those of K sequential
         :meth:`run` calls over fresh strategies (loads, congestion,
@@ -410,16 +480,15 @@ class SimulationEngine:
             engine.dropped = 0
             engine.outcomes = []
 
-        boundaries = _sink_boundaries(
-            [engine.sinks for engine in engines], n_events
-        )
-        items = merge_timeline(n_events, trace, chunk_size, boundaries)
+        items = merge_timeline(n_events, trace, chunk_size)
 
-        tracker = None
+        tracker = remap = None
         if trace is not None:
             tracker = _ReferenceTracker(base_net.n_nodes, trace)
+            remap = (tracker.current_of_ref, tracker.n_refs)
 
         groups = fleet_groups(strategies)
+        index = {id(strategy): k for k, strategy in enumerate(strategies)}
 
         for engine in engines:
             for sink in engine.sinks:
@@ -439,28 +508,33 @@ class SimulationEngine:
                         sink.on_mutation(engine, outcome)
             else:  # ServeSpan
                 start, stop = item.start, item.stop
-                if tracker is None:
-                    sub, sub_start, sub_stop = sequence, start, stop
-                    served, dropped = stop - start, 0
-                else:
-                    sub, sub_start, sub_stop, served, dropped = _remap_span(
-                        sequence, start, stop,
-                        tracker.current_of_ref, tracker.n_refs,
+                lane_marks = [
+                    _sample_marks(engine.sinks, start, stop) for engine in engines
+                ]
+                marks = sorted(set().union(*lane_marks))
+                span = _MarkedSpan(sequence, start, stop, 0, marks, remap)
+                congestion = np.empty((len(marks), len(strategies)))
+                for group_cls, members in groups:
+                    cols = [index[id(m)] for m in members]
+                    if group_cls is None:
+                        congestion[:, cols[0]] = _serve_marked(members[0], span)
+                    elif span.sub is None:
+                        congestion[:, cols] = [
+                            m.account.congestion for m in members
+                        ]
+                    else:
+                        congestion[:, cols] = group_cls.serve_chunk_fleet(
+                            members, span.sub, span.sub_start, span.sub_stop,
+                            marks=span.sub_marks,
+                        )
+                for k, engine in enumerate(engines):
+                    # the lane's own marks: a subset of the union
+                    at = np.searchsorted(marks, lane_marks[k]).astype(np.int64)
+                    pick = np.concatenate([[0], at + 1, [len(marks) + 1]])
+                    _emit_segments(
+                        engine, [span.edges[j] for j in pick], span.kept[pick],
+                        congestion[at, k].tolist(),
                     )
-                if sub is not None and sub_stop > sub_start:
-                    for group_cls, members in groups:
-                        if group_cls is None:
-                            members[0].serve_chunk(sub, sub_start, sub_stop)
-                        else:
-                            group_cls.serve_chunk_fleet(
-                                members, sub, sub_start, sub_stop
-                            )
-                for engine in engines:
-                    engine.served += served
-                    engine.dropped += dropped
-                    for sink in engine.sinks:
-                        sink.on_span(engine, start, stop, served, dropped)
-                        sink.on_boundary(engine, stop)
         for engine in engines:
             for sink in engine.sinks:
                 sink.on_end(engine)
@@ -480,7 +554,7 @@ class SimulationEngine:
         ]
 
 
-class EngineStream:
+class EngineStream(_EngineView):
     """Incremental, span-feeding counterpart of :meth:`SimulationEngine.run`.
 
     The offline engine walks a *complete* timeline; a serving front end
@@ -497,10 +571,11 @@ class EngineStream:
     an offline :meth:`SimulationEngine.run` over the recorded sequence and
     churn trace.  This holds for *any* micro-batch partition of the event
     stream because ``serve_chunk`` is contractually equal to event-by-event
-    serving, and because the stream re-cuts every batch at the offline span
-    grid (sink ``interval`` hints and ``chunk_size`` multiples), so samples
-    land at identical event positions.  Only span-*granular* observations
-    (e.g. the per-span drop list) depend on the partition.
+    serving, because the stream cuts every batch at the offline
+    ``chunk_size`` grid, and because the sinks' sample positions go into
+    ``serve_chunk`` as marks, so samples land at identical event positions
+    with identical values.  Only span-*granular* observations (e.g. the
+    per-span drop list) depend on the partition.
 
     Differences from the offline run, by necessity of streaming:
 
@@ -539,17 +614,9 @@ class EngineStream:
         # reference-id -> current-node mapping (one fresh id per attach)
         self._current_of_ref: Optional[np.ndarray] = None
         self._pending_mutations: List[object] = []
-        self._intervals = sorted(
-            {sink.interval for sink in self.sinks if sink.interval}
-        )
         self._finished = False
         for sink in self.sinks:
             sink.on_begin(self)
-
-    @property
-    def account(self):
-        """The strategy's cost account (live view)."""
-        return self.strategy.account
 
     @property
     def n_refs(self) -> int:
@@ -604,27 +671,18 @@ class EngineStream:
                     )
         return batch
 
-    def _cuts(self, start: int, stop: int) -> List[int]:
-        """Offline span-grid positions falling strictly inside (start, stop)."""
-        cuts = set()
-        grids = list(self._intervals)
-        if self.chunk_size is not None:
-            grids.append(self.chunk_size)
-        for grid in grids:
-            first = (start // grid + 1) * grid
-            cuts.update(range(first, stop, grid))
-        return sorted(cuts)
-
     def serve(self, events) -> Tuple[int, int]:
         """Serve one micro-batch now; returns its ``(served, dropped)`` split.
 
         ``events`` is an iterable of
         :class:`~repro.dynamic.sequence.RequestEvent` (or a prebuilt
         :class:`~repro.dynamic.sequence.RequestSequence`).  The batch is
-        validated atomically, re-cut at the offline span grid, and each
-        sub-span goes through the same chunk fast path as the offline
-        engine.  Events from departed reference ids are dropped (counted,
-        not served), exactly as offline.
+        validated atomically, cut only at the ``chunk_size`` grid, and each
+        piece goes through the same chunk fast path as the offline engine,
+        with the sinks' sample positions inside it as marks -- one
+        ``serve_chunk`` call per batch when there is no ``chunk_size``.
+        Events from departed reference ids are dropped (counted, not
+        served), exactly as offline.
         """
         self._check_open()
         self._flush_mutations()
@@ -634,28 +692,21 @@ class EngineStream:
             return 0, 0
         start = self.position
         stop = start + n
-        strategy = self.strategy
+        edges = [start, stop]
+        if self.chunk_size is not None:
+            grid = self.chunk_size
+            edges[1:1] = range((start // grid + 1) * grid, stop, grid)
+        remap = None if self._current_of_ref is None else (
+            self._current_of_ref, self.n_refs
+        )
         batch_served = batch_dropped = 0
-        edges = [start, *self._cuts(start, stop), stop]
         for a, b in zip(edges, edges[1:]):
-            la, lb = a - start, b - start
-            if self._current_of_ref is None:
-                strategy.serve_chunk(batch, la, lb)
-                served, dropped = b - a, 0
-            else:
-                sub, sub_start, sub_stop, served, dropped = _remap_span(
-                    batch, la, lb, self._current_of_ref, self.n_refs
-                )
-                if sub is not None and sub_stop > sub_start:
-                    strategy.serve_chunk(sub, sub_start, sub_stop)
             self.position = b
-            self.served += served
-            self.dropped += dropped
+            served, dropped = _serve_span(
+                self, batch, a - start, b - start, start, remap
+            )
             batch_served += served
             batch_dropped += dropped
-            for sink in self.sinks:
-                sink.on_span(self, a, b, served, dropped)
-                sink.on_boundary(self, b)
         return batch_served, batch_dropped
 
     def mutate(self, mutation) -> None:
@@ -697,6 +748,7 @@ class EngineStream:
         self._check_open()
         self._finished = True
         self.n_events = self.position
+        self._boundary_congestion = None
         for sink in self.sinks:
             sink.on_boundary(self, self.position)
         self._flush_mutations()

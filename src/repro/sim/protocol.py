@@ -6,12 +6,14 @@ Any object exposing this surface can be replayed by the
 strategies plug in here without touching the kernel.
 
 **Fleet capability.**  A strategy *class* may additionally expose a
-``serve_chunk_fleet(members, sequence, start, stop)`` classmethod: given
-several instances of that class whose cost accounts sit on lanes of one
-shared :class:`~repro.core.loadstate.StackedLoadState`, it serves the
-chunk for all of them in one batched pass (shared aggregation and
-edge-batch gathers, per-lane placement decisions).  It must produce
-bit-for-bit the loads and cost units of calling each member's
+``serve_chunk_fleet(members, sequence, start, stop, marks=())``
+classmethod: given several instances of that class whose cost accounts
+sit on lanes of one shared :class:`~repro.core.loadstate.StackedLoadState`,
+it serves the chunk for all of them in one batched pass (shared
+aggregation and edge-batch gathers, per-lane placement decisions) and
+returns the congestion at every mark per member, shape
+``(len(marks), len(members))``.  It must produce bit-for-bit the loads,
+cost units and mark congestions of calling each member's
 ``serve_chunk`` separately; strategies without the hook are simply served
 one by one by the fleet engine, so custom strategies stay exact without
 opting in.  Both the static managers and the adaptive counter family of
@@ -52,12 +54,15 @@ class PlacementStrategy(Protocol):
     def serve(self, event) -> None:
         """Serve one request event, charging its cost to ``account``."""
 
-    def serve_chunk(self, sequence, start: int, stop: int) -> None:
-        """Serve ``sequence[start:stop]``.
+    def serve_chunk(self, sequence, start: int, stop: int, marks=()):
+        """Serve ``sequence[start:stop]``; return the congestion at ``marks``.
 
-        Must produce bit-for-bit the loads of serving the same events one
-        by one through :meth:`serve`; strategies that cannot vectorize
-        fall back to the event loop.
+        ``marks`` are ascending sample positions in ``[start, stop]``; the
+        result has one float per mark, the account congestion after
+        serving the events before it.  Must produce bit-for-bit the loads
+        and mark congestions of serving the same events one by one through
+        :meth:`serve`; strategies that cannot vectorize fall back to the
+        event loop.  The engine passes ``marks`` only when there are some.
         """
 
     def apply_mutation(self, outcome) -> None:

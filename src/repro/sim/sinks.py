@@ -6,16 +6,21 @@ hook receives the driving engine (or round driver), so sinks read metrics
 straight off the shared load-state substrate instead of keeping private
 bookkeeping -- the same "one substrate" rule the strategies follow.
 
+**Sample marks.**  A sink's ``interval`` asks for samples at its
+multiples.  The engine does not cut serve spans there: it hands the
+positions into the span's single ``serve_chunk`` call as marks and gets
+the congestion at each of them back.  Sinks still see one ``on_span`` /
+``on_boundary`` pair per segment between marks, and read the congestion
+at a boundary from ``sim.boundary_congestion`` -- the live account may
+already be further along the span.
+
 **Fleet replay.**  Under
 :meth:`~repro.sim.engine.SimulationEngine.run_fleet` each strategy keeps
 its own sink set, and every hook receives that strategy's per-lane engine
 view -- ``sim.account`` reads the strategy's lane of the stacked
-substrate, so sinks work unchanged and record exactly what they would in
-a sequential run.  One caveat: serve spans break at the *union* of all
-lanes' ``interval`` hints, so per-span observations (e.g. the
-span-granular drop list) match the sequential run exactly when every
-lane uses the same sink configuration -- the scenario registry's shape;
-totals and sampled values match in any case.
+substrate, so sinks work unchanged.  Each lane's sinks see exactly the
+segments of their own sample positions, so they record what they would
+in a sequential run whatever the other lanes sample.
 
 Built-in sinks:
 
@@ -49,10 +54,11 @@ __all__ = [
 class MetricsSink:
     """Base sink: every hook is a no-op; subclasses override what they need.
 
-    ``interval`` (when not ``None``) asks the engine to break serve spans
-    at multiples of that many events, so the sink gets an
-    :meth:`on_boundary` call exactly at its sample positions even while
-    the engine stays on the vectorized chunk fast path in between.
+    ``interval`` (when not ``None``) asks the engine for sample marks at
+    multiples of that many events: the sink gets an :meth:`on_boundary`
+    call exactly at its sample positions, with the congestion there in
+    ``sim.boundary_congestion``, while the engine serves each span in one
+    ``serve_chunk`` call.
     """
 
     interval: Optional[int] = None
@@ -64,7 +70,8 @@ class MetricsSink:
         """Called after each serve span (original event positions)."""
 
     def on_boundary(self, sim, position: int) -> None:
-        """Called after serving up to ``position`` events (ascending)."""
+        """Called after serving up to ``position`` events (ascending);
+        ``sim.boundary_congestion`` is the congestion at that position."""
 
     def on_mutation(self, sim, outcome) -> None:
         """Called after a mutation was applied and the strategy repaired."""
@@ -82,7 +89,8 @@ class TrajectorySink(MetricsSink):
     Matches the legacy sampling rule exactly: a sample lands after event
     ``i`` whenever ``(i + 1) % sample_every == 0`` or ``i + 1`` is the
     sequence length (the forced final sample).  Dropped events advance the
-    position like served ones, as in the churn replay.
+    position like served ones, as in the churn replay.  Values are the
+    engine-reported congestion at each boundary.
     """
 
     def __init__(self, sample_every: int) -> None:
@@ -102,7 +110,7 @@ class TrajectorySink(MetricsSink):
         if position % self.sample_every == 0 or position == sim.n_events:
             if self._times and self._times[-1] == position:
                 return
-            self._samples.append(sim.account.congestion)
+            self._samples.append(sim.boundary_congestion)
             self._times.append(position)
 
     @property

@@ -10,8 +10,9 @@ timeline items:
   :class:`~repro.network.mutation.ChurnTrace`).
 
 :func:`merge_timeline` builds that ordering deterministically from a
-sequence length, a churn trace and a set of extra boundaries (chunk grid,
-metrics sample points).  The engine walks the result in order; no replay
+sequence length, a churn trace and an optional chunk grid.  Metrics sample
+points never cut a span: the engine hands them into each span's
+``serve_chunk`` call as marks.  The engine walks the result in order; no replay
 layer re-implements the interleaving rules.  (The store-and-forward round
 replay has no request timeline -- its scheduler feeds per-round delivery
 batches straight into :class:`~repro.sim.engine.RoundReplayDriver`.)
@@ -20,7 +21,7 @@ batches straight into :class:`~repro.sim.engine.RoundReplayDriver`.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.network.mutation import ChurnTrace, Mutation
 
@@ -50,9 +51,8 @@ def merge_timeline(
     n_events: int,
     trace: Optional[ChurnTrace] = None,
     chunk_size: Optional[int] = None,
-    boundaries: Iterable[int] = (),
 ) -> List[TimelineItem]:
-    """Merge requests, churn and boundary hints into one ordered timeline.
+    """Merge requests and churn into one ordered timeline.
 
     Parameters
     ----------
@@ -66,9 +66,6 @@ def merge_timeline(
     chunk_size:
         Optional upper bound on serve-span length (the batch replay grid:
         spans break at multiples of ``chunk_size`` counted from 0).
-    boundaries:
-        Extra positions at which serve spans must break (metrics sample
-        points).  Out-of-range values are ignored.
 
     Returns
     -------
@@ -77,9 +74,6 @@ def merge_timeline(
         exactly the events ``0 .. n_events`` and every trace mutation.
     """
     cuts = {0, n_events}
-    for b in boundaries:
-        if 0 < b < n_events:
-            cuts.add(int(b))
     if chunk_size is not None:
         for b in range(chunk_size, n_events, chunk_size):
             cuts.add(b)

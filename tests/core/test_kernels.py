@@ -8,6 +8,7 @@ int32/int64 parity of the shrunken CSR tables -- including across churn
 repairs, where NEP 50 dtype promotion could silently widen them back.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -141,6 +142,97 @@ class TestCcBuildCache:
         # the per-process build files are gone: only the library is cached
         (cached,) = (tmp_path / "kernels").iterdir()
         assert cached.name.startswith("repro_kernels_")
+
+
+def _cc_op_arguments():
+    """Valid arguments of every cc op on a small substrate, and the
+    positions of the array arguments that reach C (``checked``) plus the
+    boolean masks, which are viewed as uint8 first (``masks``)."""
+    net = balanced_tree(2, 2, 2)
+    pm = net.rooted().path_matrix()
+    n, m = net.n_nodes, net.n_edges
+    u = np.array([1, 2, 3], dtype=np.int64)
+    v = np.array([3, 1, 0], dtype=np.int64)
+    w = np.array([1.0, 2.0, 3.0])
+    lanes = np.array([0, 1], dtype=np.int64)
+    loads2 = np.zeros((2, m + n))
+    is_bus = pm._bus_mask.copy()
+    return {
+        "lca": ((pm._up.copy(), pm._depth.copy(), u.copy(), v.copy()), (0, 1, 2, 3), ()),
+        "scatter_paths": (
+            (np.zeros(m), pm._rp_edges.copy(), pm._rp_nodes.copy(),
+             pm._rp_indptr.copy(), np.ones(n)),
+            (0, 1, 3, 4), (),
+        ),
+        "pair_scatter": ((np.zeros(n), u, v, v.copy(), w), (0, 1, 2, 3, 4), ()),
+        "pair_scatter_lanes": (
+            (np.zeros((n, 2)), u, np.stack([v, u], axis=1), np.stack([v, v], axis=1), w),
+            (0, 1, 2, 3, 4), (),
+        ),
+        "bus_fold": (
+            (np.zeros(n), pm._edge_u.copy(), pm._edge_v.copy(), is_bus, np.ones(m)),
+            (0, 1, 2, 4), (3,),
+        ),
+        "apply_column": (
+            (np.zeros(m + n), np.ones(m), pm._edge_u.copy(), pm._edge_v.copy(),
+             is_bus, m, 1.0),
+            (0, 1, 2, 3), (4,),
+        ),
+        "apply_columns_lanes": (
+            (loads2, lanes, np.ones((m, 2)), pm._edge_u.copy(), pm._edge_v.copy(),
+             is_bus, m),
+            (0, 1, 2, 3, 4), (5,),
+        ),
+        "rescan": ((np.ones(m + n), np.ones(m + n)), (0, 1), ()),
+        "rescan_rows": ((loads2, lanes, np.ones(m + n)), (0, 1, 2), ()),
+    }
+
+
+def _wrong_dtype(arr):
+    return arr.astype({np.dtype(np.int64): np.int32, np.dtype(np.int32): np.int64,
+                       np.dtype(np.float64): np.float32}[arr.dtype])
+
+
+def _strided(arr):
+    """The same values in a non-contiguous array of the same dtype."""
+    wide = np.zeros(arr.shape[:-1] + (2 * arr.shape[-1],), dtype=arr.dtype)
+    view = wide[..., ::2]
+    view[...] = arr
+    return view
+
+
+@pytest.mark.skipif("cc" not in kernels.available_backends(), reason="cc unavailable")
+class TestCcArgumentChecks:
+    """Raw-pointer binding keeps ``ndpointer``'s rejections: a wrong-dtype
+    or non-contiguous array raises before any C code runs."""
+
+    def test_valid_arguments_are_accepted(self):
+        ops = kernels._ops_for("cc")
+        for name, (args, _checked, _masks) in _cc_op_arguments().items():
+            ops[name](*args)
+
+    @pytest.mark.parametrize("name", sorted(kernels._NUMPY_OPS))
+    @pytest.mark.parametrize("bad", ("dtype", "strided"))
+    def test_bad_array_raises_before_c(self, name, bad):
+        op = kernels._ops_for("cc")[name]
+        args, checked, masks = _cc_op_arguments()[name]
+        positions = checked + masks if bad == "strided" else checked
+        for position in positions:
+            call = list(args)
+            before = [a.copy() if isinstance(a, np.ndarray) else a for a in call]
+            call[position] = (
+                _strided(call[position]) if bad == "strided"
+                else _wrong_dtype(call[position])
+            )
+            with pytest.raises(ctypes.ArgumentError, match="TypeError: array must"):
+                op(*call)
+            for old, new in zip(before, args):
+                if isinstance(old, np.ndarray):
+                    assert np.array_equal(old, new)  # nothing was written
+
+    def test_non_array_raises(self):
+        with pytest.raises(ctypes.ArgumentError, match="must be an ndarray"):
+            kernels._data_pointer([1.0], np.dtype(np.float64), 1)
 
 
 class TestCapacityGuard:

@@ -379,3 +379,44 @@ def test_stacked_repair_is_idempotent_for_outcome_sequences():
         assert np.array_equal(lane.edge_loads, rebuilt.edge_loads)
         assert lane.congestion == rebuilt.congestion
         assert lane.verify_bus_loads()
+
+
+@pytest.mark.parametrize("seed", _seed_matrix())
+@pytest.mark.parametrize("churn", ("maintenance", "storm"))
+def test_heterogeneous_sink_intervals_under_churn(seed, churn):
+    """Lanes sampling on different grids each see only their own marks.
+
+    Every lane's trajectory, span-granular drop list and full sink call
+    sequence equal its sequential run, whatever the other lanes sample.
+    """
+    net, pattern, seq = build_instance(seed)
+    trace = CHURN_GENERATORS[churn](net, seed + 5)
+    factories = fleet_factories(net, pattern, seq, seed)
+    intervals = [3 + 2 * k for k in range(len(factories))]
+
+    class Calls(CostBreakdownSink):
+        def __init__(self):
+            super().__init__()
+            self.calls = []
+
+        def on_span(self, sim, start, stop, served, dropped):
+            self.calls.append(("span", start, stop, served, dropped))
+
+        def on_boundary(self, sim, position):
+            self.calls.append(("boundary", position, sim.boundary_congestion))
+
+    def sinks(k):
+        return [TrajectorySink(intervals[k]), DropAccountingSink(), Calls()]
+
+    sequential = [
+        SimulationEngine(factory(), sinks=sinks(k)).run(seq, trace)
+        for k, factory in enumerate(factories)
+    ]
+    fleet = SimulationEngine.run_fleet(
+        [factory() for factory in factories], seq, trace,
+        sinks=[sinks(k) for k in range(len(factories))],
+    )
+    assert_results_equal(sequential, fleet)
+    assert any(r.sink(DropAccountingSink).span_drops for r in fleet)
+    for a, b in zip(sequential, fleet):
+        assert a.sink(Calls).calls == b.sink(Calls).calls

@@ -302,21 +302,17 @@ class TestAggregationParity:
         rng = np.random.default_rng(seed)
         start = int(rng.integers(0, len(seq)))
         stop = int(rng.integers(start, len(seq) + 1))
-        got = StaticPlacementManager._aggregate_chunk(seq, start, stop)
-        ref = StaticPlacementManager._reference_aggregate_chunk(seq, start, stop)
+        marks = np.sort(rng.integers(start, stop + 1, size=seed % 4 * 2)).tolist()
+        got = StaticPlacementManager._aggregate_chunk(seq, start, stop, marks)
+        ref = StaticPlacementManager._reference_aggregate_chunk(
+            seq, start, stop, marks
+        )
         if ref is None:
             assert got is None
             return
-        g_procs, g_counts, g_by_obj, g_written, g_wcounts = got
-        r_procs, r_counts, r_by_obj, r_written, r_wcounts = ref
-        assert np.array_equal(g_procs, r_procs)
-        assert np.array_equal(g_counts, r_counts)
-        assert np.array_equal(g_written, r_written)
-        assert np.array_equal(g_wcounts, r_wcounts)
-        assert len(g_by_obj) == len(r_by_obj)
-        for (g_obj, g_rows), (r_obj, r_rows) in zip(g_by_obj, r_by_obj):
-            assert g_obj == r_obj
-            assert np.array_equal(g_rows, r_rows)
+        assert len(got) == len(ref) == 7
+        for g, r in zip(got, ref):  # keys, counts, write keys, write counts
+            assert np.array_equal(g, r)
 
     def test_aggregate_chunk_empty(self):
         seq = RequestSequence([], 3)

@@ -9,11 +9,9 @@ split request assignments.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.baselines import full_replication_placement, random_placement
-from repro.errors import ReproError
 from repro.network.builders import balanced_tree
 from repro.core.congestion import (
     _reference_compute_loads,
@@ -246,22 +244,3 @@ class TestLaneKernels:
         finally:
             type(pm)._DIST_BLOCK = old_block
         assert np.array_equal(blocked, pm.distances(u, v))
-
-    def test_pair_edge_loads_lanes_matches_per_lane_columns(self):
-        rng = np.random.default_rng(5)
-        net = balanced_tree(2, 3, 2)
-        pm = net.rooted().path_matrix()
-        procs = np.asarray(net.processors)
-        u = rng.choice(procs, size=40)
-        targets = rng.choice(procs, size=(40, 6))
-        w = rng.integers(1, 5, size=40).astype(np.float64)
-        stacked = pm.pair_edge_loads_lanes(u, targets, w)
-        for lane in range(targets.shape[1]):
-            expected = pm.pair_edge_loads(u, targets[:, lane], w)
-            assert np.array_equal(stacked[:, lane], expected)
-
-    def test_pair_deltas_lanes_shape_guard(self):
-        net = balanced_tree(2, 2, 2)
-        pm = net.rooted().path_matrix()
-        with pytest.raises(ReproError):
-            pm.pair_deltas_lanes(np.array([0, 1]), np.array([0, 1]), np.ones(2))

@@ -59,9 +59,21 @@ class TestMergeTimeline:
         assert all(isinstance(i, MutationPoint) for i in items)
         assert len(items) == 2
 
-    def test_boundaries_split_spans(self):
-        items = merge_timeline(10, boundaries=[3, 30])
-        assert items == [ServeSpan(0, 3), ServeSpan(3, 10)]
+    def test_sample_marks_do_not_split_spans(self, instance):
+        net, seq, placement = instance
+        assert merge_timeline(len(seq)) == [ServeSpan(0, len(seq))]
+
+        calls = []
+
+        class Counting(StaticPlacementManager):
+            def serve_chunk(self, sequence, start, stop, marks=()):
+                calls.append((start, stop, list(marks)))
+                return super().serve_chunk(sequence, start, stop, marks)
+
+        sink = TrajectorySink(3)
+        SimulationEngine(Counting(net, placement), sinks=(sink,)).run(seq)
+        assert calls == [(0, len(seq), list(range(3, len(seq), 3)))]
+        assert list(sink.sample_times) == [*range(3, len(seq), 3), len(seq)]
 
 
 class TestMergeTimelineEdgeCases:
@@ -100,9 +112,9 @@ class TestMergeTimelineEdgeCases:
         # the detach lands before event 0: every victim request drops
         assert result.dropped == sum(1 for ev in seq if ev.processor == victim)
 
-    def test_boundary_coinciding_with_chunk_cut_is_not_duplicated(self, instance):
+    def test_mark_coinciding_with_chunk_cut_is_not_duplicated(self, instance):
         net, seq, placement = instance
-        items = merge_timeline(10, boundaries=[4], chunk_size=4)
+        items = merge_timeline(10, chunk_size=4)
         assert items == [ServeSpan(0, 4), ServeSpan(4, 8), ServeSpan(8, 10)]
 
         # a sink interval equal to the chunk grid must not double-sample
