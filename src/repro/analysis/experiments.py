@@ -26,7 +26,7 @@ benchmarks and ``EXPERIMENTS.md`` share the same data.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -575,12 +575,7 @@ def experiment_online_streaming(
 # --------------------------------------------------------------------------- #
 # E10 -- topology churn (mutable bus networks, incremental substrate repair)
 # --------------------------------------------------------------------------- #
-def churn_scenario_suite(
-    seed: int = 0,
-    small: bool = False,
-    large: bool = False,
-    names: Optional[Sequence[str]] = None,
-):
+def churn_scenario_suite(seed: int = 0, small: bool = False, large: bool = False):
     """Labelled ``(name, network, sequence, trace)`` churn scenarios for E10.
 
     Four churn regimes over the streaming workload families:
@@ -595,21 +590,13 @@ def churn_scenario_suite(
     * ``storm`` -- a seeded mix of every mutation kind, including bus
       splits, through a Zipf trace.
 
-    ``names`` restricts construction to the listed scenarios (the CLI
-    replays one at a time); every scenario is seeded independently, so a
-    filtered suite is identical to the matching slice of the full one.
+    Each one is also a registered scenario family, so
+    ``repro simulate --scenario <name>`` replays it alone.
     """
     from repro.sim.scenario import build_scenario, scenario_spec
 
-    wanted = ("flash-crowd", "maintenance", "degradation", "storm")
-    if names is not None:
-        unknown = [n for n in names if n not in wanted]
-        if unknown:
-            raise KeyError(f"unknown churn scenarios: {unknown}")
-        wanted = tuple(n for n in wanted if n in set(names))
-
     scenarios = []
-    for name in wanted:
+    for name in ("flash-crowd", "maintenance", "degradation", "storm"):
         spec = scenario_spec(name, seed=seed, small=small, large=large)
         (built,) = build_scenario(spec)
         scenarios.append((name, built.network, built.sequence, built.trace))
@@ -631,7 +618,7 @@ def replay_churn_scenario(
     repaired load-state substrate.  Each record carries the served/dropped
     split, the mutation count, the sampled congestion trajectory and a
     substrate self-check (incremental bus loads equal a from-scratch
-    recomputation after all repairs).  Shared by E10 and ``repro churn``.
+    recomputation after all repairs).
     """
     strategies = {
         "hindsight-static": lambda: hindsight_static_manager(net, seq),

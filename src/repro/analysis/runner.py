@@ -1,13 +1,13 @@
-"""Parallel experiment orchestration.
+"""The experiment runner table and its seeding contract.
 
-The experiment runners in :mod:`repro.analysis.experiments` (E1 -- E11) are
-independent of each other, so a full reproduction sweep parallelises
-trivially across worker processes.  :func:`run_experiments` fans the
-selected runners out over a persistent process pool
-(:func:`repro.parallel.persistent_pool`, reused across sweeps in one
-process) with deterministic per-experiment seeds and writes one JSON artifact per
-experiment (plus a ``summary.json``), so CI jobs and the ``repro
-run-experiments`` CLI subcommand share one machine-readable result format.
+The experiment runners in :mod:`repro.analysis.experiments` (E1 -- E11)
+are independent of each other.  This module names them
+(:data:`EXPERIMENT_RUNNERS`, :data:`EXPERIMENT_IDS`), derives one seed per
+experiment (:func:`experiment_seeds`) and runs one experiment at that seed
+(:func:`run_experiment`).  Sweeps over several experiments -- resumable,
+optionally fanned over worker processes, with one registry artifact per
+experiment -- are the ``experiments`` suite of the lab executor
+(:func:`repro.lab.registry.run_missing`).
 
 Seeding: every experiment receives its own child of
 ``numpy.random.SeedSequence(base_seed)``, so results are reproducible for a
@@ -18,23 +18,17 @@ in which order they finish.
 from __future__ import annotations
 
 import inspect
-import json
-import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis import experiments as _experiments
-from repro.parallel import run_jobs
 
 __all__ = [
     "EXPERIMENT_IDS",
     "EXPERIMENT_RUNNERS",
-    "ExperimentOutcome",
-    "run_experiments",
-    "write_artifacts",
+    "experiment_seeds",
+    "run_experiment",
 ]
 
 
@@ -58,55 +52,6 @@ EXPERIMENT_RUNNERS: Dict[str, Callable] = {
 EXPERIMENT_IDS: Tuple[str, ...] = tuple(
     sorted(EXPERIMENT_RUNNERS, key=lambda exp_id: int(exp_id[1:]))
 )
-
-
-@dataclass(frozen=True)
-class ExperimentOutcome:
-    """Result envelope of one experiment run.
-
-    ``error`` is the formatted exception when the runner failed; ``records``
-    is then empty.  ``artifact`` is the JSON file path when artifacts were
-    written.
-    """
-
-    experiment: str
-    seed: int
-    small: bool
-    elapsed_seconds: float
-    large: bool = False
-    records: List[Dict[str, object]] = field(default_factory=list)
-    error: Optional[str] = None
-    artifact: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        """True iff the experiment ran to completion."""
-        return self.error is None
-
-    def summary_row(self) -> Dict[str, object]:
-        """Flat record for table output."""
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "rows": len(self.records),
-            "seconds": self.elapsed_seconds,
-            "status": "ok" if self.ok else "error",
-            "artifact": self.artifact or "-",
-        }
-
-    def as_dict(self) -> Dict[str, object]:
-        """Full JSON-serialisable document (the artifact payload)."""
-        return {
-            "format": "repro.experiment-result/v1",
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "small": self.small,
-            "large": self.large,
-            "elapsed_seconds": self.elapsed_seconds,
-            "n_records": len(self.records),
-            "error": self.error,
-            "records": self.records,
-        }
 
 
 def _experiment_kwargs(
@@ -133,105 +78,6 @@ def _experiment_kwargs(
     return kwargs
 
 
-def _run_single(
-    exp_id: str, seed: int, small: bool, large: bool = False
-) -> ExperimentOutcome:
-    """Run one experiment (module-level so it pickles for worker processes)."""
-    runner = EXPERIMENT_RUNNERS[exp_id]
-    kwargs = _experiment_kwargs(runner, seed, small, large)
-    start = time.perf_counter()
-    try:
-        records = runner(**kwargs)
-        error = None
-    except Exception as exc:  # noqa: BLE001 - one failed experiment must not
-        records = []  # kill the rest of the sweep
-        error = f"{type(exc).__name__}: {exc}"
-    elapsed = time.perf_counter() - start
-    return ExperimentOutcome(
-        experiment=exp_id,
-        seed=seed,
-        small=small,
-        large=large,
-        elapsed_seconds=elapsed,
-        records=list(records),
-        error=error,
-    )
-
-
-def _json_default(value):
-    """Encode the numpy scalar/array types that experiment records contain."""
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serialisable: {type(value).__name__}")
-
-
-def write_artifacts(
-    outcomes: Sequence[ExperimentOutcome],
-    output_dir: "str | Path",
-    stable: bool = False,
-) -> List[ExperimentOutcome]:
-    """Write one ``<id>.json`` per outcome plus ``summary.json``.
-
-    ``stable=True`` makes the written files a pure function of
-    ``(experiment id, seed, sizes)``.  Exactly these fields are rewritten
-    -- nothing else in the payloads is touched, and the *returned*
-    outcomes keep their real values:
-
-    * per-experiment ``<id>.json``: the top-level ``elapsed_seconds``
-      becomes ``0.0`` (the ``records`` are never modified);
-    * ``summary.json``: every row's ``seconds`` becomes ``0.0``, every
-      row's ``artifact`` is reduced to its basename (no absolute paths),
-      and ``total_seconds`` becomes ``0.0``.
-
-    This is the contract the determinism tests pin down
-    (``tests/analysis/test_runner.py::TestArtifacts``): the same sweep run
-    with any ``--parallel`` value produces byte-identical stable
-    artifacts, and the lab registry (:mod:`repro.lab.registry`) -- which
-    stores only the ``records`` -- hashes identically whether or not the
-    sweep was run with ``--stable-artifacts``.  (One inherent exception:
-    E6's *records* are themselves wall-clock runtime measurements, so its
-    payload varies run to run by design and is excluded from the
-    registry suites.)
-
-    Returns new outcomes with their ``artifact`` fields pointing at the
-    written files.
-    """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    updated: List[ExperimentOutcome] = []
-    for outcome in outcomes:
-        path = out / f"{outcome.experiment}.json"
-        payload = replace(outcome, elapsed_seconds=0.0) if stable else outcome
-        path.write_text(
-            json.dumps(payload.as_dict(), indent=2, default=_json_default)
-        )
-        updated.append(replace(outcome, artifact=str(path)))
-    rows = [o.summary_row() for o in updated]
-    total = sum(o.elapsed_seconds for o in updated)
-    if stable:
-        # location- and timing-independent: basenames and zeroed clocks
-        for row in rows:
-            row["seconds"] = 0.0
-            row["artifact"] = Path(str(row["artifact"])).name
-        total = 0.0
-    summary = {
-        "format": "repro.experiment-summary/v1",
-        "experiments": rows,
-        "total_seconds": total,
-        "all_ok": all(o.ok for o in updated),
-    }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, default=_json_default)
-    )
-    return updated
-
-
 def experiment_seeds(base_seed: int, ids: Sequence[str]) -> Dict[str, int]:
     """Deterministic per-experiment seeds derived from one base seed.
 
@@ -247,86 +93,17 @@ def experiment_seeds(base_seed: int, ids: Sequence[str]) -> Dict[str, int]:
     return seeds
 
 
-def run_experiments(
-    ids: Optional[Sequence[str]] = None,
-    parallel: int = 1,
-    seed: int = 0,
-    small: bool = False,
-    large: bool = False,
-    output_dir: Optional["str | Path"] = None,
-    stable_artifacts: bool = False,
-    registry: Optional["str | Path"] = None,
-) -> List[ExperimentOutcome]:
-    """Run a set of experiments, optionally across worker processes.
+def run_experiment(
+    exp_id: str, seed: int, small: bool = False, large: bool = False
+) -> List[Dict[str, object]]:
+    """Run one experiment at one seed and return its result records.
 
-    Parameters
-    ----------
-    ids:
-        Experiment ids (subset of ``E1`` .. ``E11``); defaults to all.
-    parallel:
-        Number of worker processes.  Results are deterministic for any
-        value: per-experiment seeds depend only on ``(seed, id)``.
-    seed:
-        Base seed; per-experiment seeds are derived via
-        :func:`experiment_seeds`.
-    small:
-        Use reduced instance sizes for the runners that support it.
-    large:
-        Use the 10--50× larger instance suite for the runners that support
-        it (mutually exclusive with ``small``).
-    output_dir:
-        If given, JSON artifacts are written there (one per experiment plus
-        ``summary.json``).
-    stable_artifacts:
-        Zero the wall-clock fields in the written artifacts so they are
-        byte-identical across runs and ``--parallel`` values (see
-        :func:`write_artifacts` for the exact field list).
-    registry:
-        If given, record every successful run into the persistent lab
-        registry rooted there (:class:`repro.lab.registry.LabRegistry`),
-        keyed by ``(spec_hash, per-experiment seed, engine version)`` --
-        the artifact write path of the experiment lab.  E6 and failed
-        runs are skipped (wall-clock records / nothing to register).
-
-    Returns
-    -------
-    list of ExperimentOutcome
-        In the order of ``ids``, regardless of worker completion order.
+    ``seed`` is the per-experiment seed (:func:`experiment_seeds` derives
+    the one the lab registry keys the experiment by).  ``small`` and
+    ``large`` select the reduced and the 10--50x larger instance suites
+    for the runners that support them.  A failing runner raises.
     """
-    if ids is None:
-        ids = EXPERIMENT_IDS
-    unknown = [i for i in ids if i not in EXPERIMENT_RUNNERS]
-    if unknown:
-        raise KeyError(f"unknown experiment ids: {unknown}")
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
+    runner = EXPERIMENT_RUNNERS[exp_id]
     if small and large:
         raise ValueError("small and large are mutually exclusive")
-
-    seeds = experiment_seeds(seed, ids)
-    jobs = [(exp_id, seeds[exp_id], small, large) for exp_id in ids]
-
-    if parallel == 1 or len(jobs) <= 1:
-        outcomes = [_run_single(*job) for job in jobs]
-    else:
-        # the pool persists across calls, so repeated sweeps in one
-        # process reuse warm workers (see repro.parallel)
-        outcomes = run_jobs(min(parallel, len(jobs)), _run_single, jobs)
-
-    if output_dir is not None:
-        outcomes = write_artifacts(outcomes, output_dir, stable=stable_artifacts)
-    if registry is not None:
-        from repro.lab.registry import (
-            NONDETERMINISTIC_EXPERIMENTS,
-            LabRegistry,
-            experiment_entry,
-        )
-
-        lab = LabRegistry(registry)
-        for outcome in outcomes:
-            if outcome.ok and outcome.experiment not in NONDETERMINISTIC_EXPERIMENTS:
-                entry = experiment_entry(
-                    outcome.experiment, outcome.seed, small=small, large=large
-                )
-                lab.record(entry, outcome.records)
-    return outcomes
+    return list(runner(**_experiment_kwargs(runner, seed, small, large)))

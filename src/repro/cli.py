@@ -8,21 +8,14 @@ workflows without writing Python:
 * ``repro generate-workload`` -- build a synthetic workload for a network;
 * ``repro place`` -- run a placement strategy and report congestion against
   the lower bound (optionally saving the placement);
-* ``repro experiment`` -- run one of the experiment runners E1..E11 and print
-  its result table (the same rows recorded in EXPERIMENTS.md);
-* ``repro run-experiments`` -- fan a whole experiment sweep out across
-  worker processes (``--parallel N``) with per-experiment seeds and JSON
-  result artifacts;
-* ``repro churn`` -- replay one topology-churn scenario (requests
-  interleaved with seeded mutations, substrate repaired incrementally) and
-  report the congestion trajectory through the storm;
+* ``repro experiment`` -- run one of the experiment runners E1..E11 at the
+  seed the lab registry keys it by and print its result table (the rows
+  RESULTS.md reports);
 * ``repro simulate`` -- run a scenario from the declarative registry (or a
   ``ScenarioSpec`` JSON file) through the unified simulation kernel and
   write a JSON result artifact; ``--list`` shows the registered scenario
-  families, ``--fleet`` replays all strategies in one stacked pass over
-  the timeline and ``--parallel N`` fans sweep/strategy jobs over a
-  persistent worker pool -- both produce byte-identical artifacts to the
-  serial default;
+  families (the churn families ``flash-crowd``, ``maintenance``,
+  ``degradation`` and ``storm`` among them);
 * ``repro serve`` -- the streaming placement service (docs/SERVING.md):
   request/churn events in over a socket, placement acks and live sink
   metrics out, every session optionally recorded for offline replay;
@@ -34,14 +27,14 @@ workflows without writing Python:
   (ARCHITECTURE invariant 10);
 * ``repro lab`` -- the experiment lab (see docs/LAB.md): a persistent run
   registry keyed by ``(spec_hash, seed, engine_version)``.
-  ``run-missing`` executes only the suite entries without stored
-  artifacts (a killed sweep resumes), ``status`` shows what is stored,
-  ``report`` regenerates RESULTS.md purely from artifacts (``--check``
-  fails on drift) and ``gc`` reclaims runs no longer keyed by the suite;
-* ``repro tournament`` -- race the pinned strategy set
-  (:data:`repro.lab.tournament.TOURNAMENT_STRATEGIES`) across every
-  scenario family through the lab registry (resumable, ``--fleet`` /
-  ``--parallel`` byte-identical to serial) and print the leaderboard.
+  ``run-missing`` is the one sweep executor: it runs only the entries of
+  a named suite (``experiments``, ``scenarios``, ``tournament``, ``full``
+  or the pinned ``ci``) without stored artifacts, optionally over
+  ``--parallel N`` worker processes, and a killed sweep resumes;
+  ``status`` shows what is stored, ``report`` regenerates RESULTS.md (and
+  the tournament leaderboard) purely from artifacts (``--check`` fails on
+  drift), ``heal`` rebuilds a torn index and ``gc`` reclaims runs no
+  longer keyed by the suite.
 
 Every subcommand is a thin wrapper around the library API, so the CLI is
 also a usage example.
@@ -56,7 +49,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.report import format_table, records_to_table
-from repro.analysis.runner import EXPERIMENT_IDS, EXPERIMENT_RUNNERS, run_experiments
+from repro.analysis.runner import EXPERIMENT_IDS, experiment_seeds, run_experiment
 from repro.core.baselines import (
     full_replication_placement,
     greedy_congestion_placement,
@@ -68,6 +61,7 @@ from repro.core.bounds import nibble_lower_bound
 from repro.core.congestion import compute_loads
 from repro.core.deletion import copies_to_placement, refine_copies
 from repro.core.extended_nibble import extended_nibble
+from repro.lab.registry import LAB_SUITES
 from repro.network.builders import (
     balanced_tree,
     fat_tree,
@@ -101,8 +95,6 @@ _STRATEGIES: Dict[str, Callable] = {
     "random": lambda net, pat: random_placement(net, pat, seed=0),
     "full-replication": full_replication_placement,
 }
-
-_EXPERIMENTS: Dict[str, Callable] = dict(EXPERIMENT_RUNNERS)
 
 
 def _print_records(records, stream) -> None:
@@ -242,72 +234,11 @@ def _cmd_place(args: argparse.Namespace, stream) -> int:
     return 0
 
 
-def _cmd_run_experiments(args: argparse.Namespace, stream) -> int:
-    outcomes = run_experiments(
-        ids=args.ids,
-        parallel=args.parallel,
-        seed=args.seed,
-        small=args.small,
-        large=args.large,
-        output_dir=args.output_dir,
-        stable_artifacts=args.stable_artifacts,
-        registry=args.registry,
-    )
-    _print_records([o.summary_row() for o in outcomes], stream)
-    failed = [o for o in outcomes if not o.ok]
-    for outcome in failed:
-        print(f"{outcome.experiment} failed: {outcome.error}", file=stream)
-    if args.output_dir:
-        print(f"wrote artifacts to {args.output_dir}", file=stream)
-    return 1 if failed else 0
-
-
 def _cmd_experiment(args: argparse.Namespace, stream) -> int:
-    import inspect
-
-    runner = _EXPERIMENTS[args.id]
-    kwargs = {}
-    if "small" in inspect.signature(runner).parameters:
-        kwargs["small"] = args.small
-    records = runner(**kwargs)
-    print(f"experiment {args.id}: {len(records)} rows", file=stream)
+    seed = experiment_seeds(0, [args.id])[args.id]
+    records = run_experiment(args.id, seed, small=args.small)
+    print(f"experiment {args.id} (seed {seed}): {len(records)} rows", file=stream)
     _print_records(records, stream)
-    return 0
-
-
-_CHURN_SCENARIOS = ("flash-crowd", "maintenance", "degradation", "storm")
-
-
-def _cmd_churn(args: argparse.Namespace, stream) -> int:
-    from repro.analysis.experiments import churn_scenario_suite, replay_churn_scenario
-
-    ((_name, net, seq, trace),) = churn_scenario_suite(
-        seed=args.seed, small=args.small, large=args.large,
-        names=[args.scenario],
-    )
-    records = replay_churn_scenario(
-        net, seq, trace, trajectory_samples=args.samples
-    )
-    print(
-        f"churn scenario {args.scenario}: {len(seq)} events, "
-        f"{len(trace)} mutations",
-        file=stream,
-    )
-    _print_records(
-        [{k: v for k, v in rec.items() if k != "trajectory"} for rec in records],
-        stream,
-    )
-    if args.output:
-        document = {
-            "format": "repro.churn-result/v1",
-            "scenario": args.scenario,
-            "seed": args.seed,
-            "n_events": len(seq),
-            "n_mutations": len(trace),
-            "records": records,
-        }
-        Path(args.output).write_text(json.dumps(document, indent=2))
-        print(f"wrote churn report to {args.output}", file=stream)
     return 0
 
 
@@ -331,6 +262,12 @@ def _cmd_simulate(args: argparse.Namespace, stream) -> int:
         spec = ScenarioSpec.from_json(Path(args.spec).read_text())
         seed = None  # a spec file carries its seeds inside the document
     elif args.scenario:
+        if args.scenario not in SCENARIO_FAMILIES:
+            print(
+                f"simulate: unknown scenario {args.scenario!r} (see --list)",
+                file=stream,
+            )
+            return 2
         spec = scenario_spec(
             args.scenario, seed=args.seed, small=args.small, large=args.large
         )
@@ -338,7 +275,7 @@ def _cmd_simulate(args: argparse.Namespace, stream) -> int:
     else:
         print("simulate: pass --scenario, --spec or --list", file=stream)
         return 2
-    records = run_scenario(spec, fleet=args.fleet, parallel=args.parallel)
+    records = run_scenario(spec)
     print(
         f"scenario {spec.name}: {len(records)} strategy runs",
         file=stream,
@@ -514,44 +451,12 @@ def _cmd_lab_run_missing(args: argparse.Namespace, stream) -> int:
         registry,
         entries,
         parallel=args.parallel,
-        fleet=args.fleet,
         progress=lambda line: print(f"ran {line}", file=stream),
     )
     print(
         f"suite {args.suite}: {result.total} entries, "
         f"{result.already_stored} already stored, "
         f"{result.n_executed} executed",
-        file=stream,
-    )
-    return 0
-
-
-def _cmd_tournament(args: argparse.Namespace, stream) -> int:
-    from repro.lab.registry import LabRegistry, run_missing, suite_entries
-    from repro.lab.tournament import leaderboard_rows
-
-    registry = LabRegistry(args.registry)
-    entries = suite_entries(
-        "tournament", seed=args.seed, small=args.small, large=args.large
-    )
-    result = run_missing(
-        registry,
-        entries,
-        parallel=args.parallel,
-        fleet=args.fleet,
-        progress=lambda line: print(f"ran {line}", file=stream),
-    )
-    print(
-        f"tournament: {result.total} entries, "
-        f"{result.already_stored} already stored, "
-        f"{result.n_executed} executed",
-        file=stream,
-    )
-    payloads = [registry.get(entry.key) for entry in entries]
-    _print_records(leaderboard_rows(payloads), stream)
-    print(
-        "(standings derive purely from the stored artifacts; "
-        "`repro lab report --write` surfaces them in RESULTS.md)",
         file=stream,
     )
     return 0
@@ -693,82 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     place.set_defaults(func=_cmd_place)
 
     exp = sub.add_parser("experiment", help="run an experiment runner (E1..E11)")
-    exp.add_argument("id", choices=sorted(_EXPERIMENTS))
+    exp.add_argument("id", choices=list(EXPERIMENT_IDS))
     exp.add_argument("--small", action="store_true", help="use reduced instance sizes")
     exp.set_defaults(func=_cmd_experiment)
-
-    run = sub.add_parser(
-        "run-experiments",
-        help="run an experiment sweep across worker processes",
-    )
-    run.add_argument(
-        "--ids",
-        nargs="+",
-        choices=list(EXPERIMENT_IDS),
-        default=None,
-        help="experiments to run (default: all)",
-    )
-    run.add_argument(
-        "--parallel",
-        type=_positive_int,
-        default=1,
-        help="number of worker processes (1 = run inline)",
-    )
-    run.add_argument("--seed", type=int, default=0, help="base seed for the sweep")
-    size = run.add_mutually_exclusive_group()
-    size.add_argument(
-        "--small", action="store_true", help="use reduced instance sizes"
-    )
-    size.add_argument(
-        "--large",
-        action="store_true",
-        help="use the 10-50x larger instance suite (E5/E8/E9)",
-    )
-    run.add_argument(
-        "--output-dir",
-        "-o",
-        default=None,
-        help="write per-experiment JSON artifacts (and summary.json) here",
-    )
-    run.add_argument(
-        "--stable-artifacts",
-        action="store_true",
-        help=(
-            "zero wall-clock fields in the artifacts -- exactly "
-            "elapsed_seconds, the summary's per-row seconds/artifact "
-            "basenames and total_seconds -- so the files are "
-            "byte-identical for any --parallel value"
-        ),
-    )
-    run.add_argument(
-        "--registry",
-        default=None,
-        help=(
-            "also record every successful run into the lab registry "
-            "rooted here (see `repro lab`)"
-        ),
-    )
-    run.set_defaults(func=_cmd_run_experiments)
-
-    churn = sub.add_parser(
-        "churn",
-        help="replay a topology-churn scenario (experiment E10 building block)",
-    )
-    churn.add_argument(
-        "--scenario", choices=list(_CHURN_SCENARIOS), default="storm"
-    )
-    churn.add_argument("--seed", type=int, default=0)
-    size = churn.add_mutually_exclusive_group()
-    size.add_argument("--small", action="store_true", help="use reduced instance sizes")
-    size.add_argument("--large", action="store_true", help="use the larger instance suite")
-    churn.add_argument(
-        "--samples",
-        type=_positive_int,
-        default=8,
-        help="number of congestion trajectory samples",
-    )
-    churn.add_argument("--output", "-o", default=None)
-    churn.set_defaults(func=_cmd_churn)
 
     simulate = sub.add_parser(
         "simulate",
@@ -795,23 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     size = simulate.add_mutually_exclusive_group()
     size.add_argument("--small", action="store_true", help="use reduced instance sizes")
     size.add_argument("--large", action="store_true", help="use the larger instance suite")
-    simulate.add_argument(
-        "--parallel",
-        type=_positive_int,
-        default=1,
-        help=(
-            "fan sweep/strategy jobs over a persistent worker pool; "
-            "artifacts are byte-identical to a serial run"
-        ),
-    )
-    simulate.add_argument(
-        "--fleet",
-        action="store_true",
-        help=(
-            "replay all strategies of a scenario in one stacked pass over "
-            "the timeline (bit-for-bit equal to the sequential default)"
-        ),
-    )
     simulate.add_argument("--output", "-o", default=None)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -1007,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--suite",
-            choices=["ci", "scenarios", "tournament", "experiments", "full"],
+            choices=list(LAB_SUITES),
             default="ci",
             help=(
                 "which suite keys the registry; `ci` is pinned to "
@@ -1037,14 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help="fan missing entries over the persistent worker pool",
-    )
-    lab_run.add_argument(
-        "--fleet",
-        action="store_true",
-        help=(
-            "replay scenario entries through the stacked fleet engine "
-            "(pure accelerator: artifacts are bit-for-bit unchanged)"
-        ),
     )
     lab_run.set_defaults(func=_cmd_lab_run_missing)
 
@@ -1107,42 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dry-run", action="store_true", help="only print what would be removed"
     )
     lab_gc.set_defaults(func=_cmd_lab_gc)
-
-    tournament = sub.add_parser(
-        "tournament",
-        help=(
-            "race the pinned strategy set across every scenario family "
-            "through the lab registry and print the leaderboard"
-        ),
-    )
-    tournament.add_argument(
-        "--registry",
-        default="lab/registry",
-        help="registry root directory (default: lab/registry)",
-    )
-    tournament.add_argument("--seed", type=int, default=0, help="suite base seed")
-    t_size = tournament.add_mutually_exclusive_group()
-    t_size.add_argument(
-        "--small", action="store_true", help="use reduced instance sizes"
-    )
-    t_size.add_argument(
-        "--large", action="store_true", help="use the larger instance suite"
-    )
-    tournament.add_argument(
-        "--parallel",
-        type=_positive_int,
-        default=1,
-        help="fan missing entries over the persistent worker pool",
-    )
-    tournament.add_argument(
-        "--fleet",
-        action="store_true",
-        help=(
-            "replay each entry's strategies through the stacked fleet "
-            "engine (pure accelerator: artifacts are bit-for-bit unchanged)"
-        ),
-    )
-    tournament.set_defaults(func=_cmd_tournament)
 
     return parser
 

@@ -11,9 +11,8 @@
 * :mod:`repro.lab.tournament` -- the pinned strategy-tournament set and
   the leaderboard derived from stored tournament artifacts.
 
-The ``repro lab`` CLI (``run-missing`` / ``status`` / ``report`` / ``gc``)
-and ``repro tournament`` expose them; see ``docs/LAB.md`` for the
-workflow.
+The ``repro lab`` CLI (``run-missing`` / ``status`` / ``report`` /
+``heal`` / ``gc``) exposes them; see ``docs/LAB.md`` for the workflow.
 """
 
 from repro.lab.registry import (

@@ -47,6 +47,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro import faults
 from repro.errors import LabError
 from repro.version import __version__ as ENGINE_VERSION
@@ -303,10 +305,16 @@ def suite_entries(
 # the registry
 # --------------------------------------------------------------------------- #
 def _json_default(value):
-    """Match the experiment artifact encoder (numpy scalars/arrays)."""
-    from repro.analysis.runner import _json_default as runner_default
-
-    return runner_default(value)
+    """Encode the numpy scalar/array types that experiment records contain."""
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"not JSON serialisable: {type(value).__name__}")
 
 
 def _durable_write(path: Path, text: str) -> None:
@@ -614,30 +622,35 @@ class RunMissingResult:
         return len(self.executed)
 
 
-def _execute_entry(job_json: str, fleet: bool = False) -> List[Dict[str, object]]:
-    """Run one entry and return its records (module-level: pickles to workers)."""
+def _execute_entry(job_json: str) -> List[Dict[str, object]]:
+    """Run one entry and return its records (module-level: pickles to workers).
+
+    Scenario and tournament entries replay through
+    :func:`repro.sim.scenario.run_scenario` (all strategies of an entry in
+    one stacked fleet pass); experiment entries run through
+    :func:`repro.analysis.runner.run_experiment` at the entry's seed.
+    """
     entry = LabEntry.from_job_json(job_json)
     if entry.kind in ("scenario", "tournament"):
         from repro.sim.scenario import ScenarioSpec, run_scenario
 
-        spec = ScenarioSpec.from_dict(entry.document)
-        return run_scenario(spec, fleet=fleet)
+        return run_scenario(ScenarioSpec.from_dict(entry.document))
     if entry.kind == "experiment":
-        from repro.analysis.runner import _run_single
+        from repro.analysis.runner import run_experiment
 
         document = entry.document
-        outcome = _run_single(
-            document["experiment"],
-            entry.seed,
-            bool(document.get("small", False)),
-            bool(document.get("large", False)),
-        )
-        if outcome.error is not None:
+        try:
+            return run_experiment(
+                document["experiment"],
+                entry.seed,
+                small=bool(document.get("small", False)),
+                large=bool(document.get("large", False)),
+            )
+        except Exception as exc:
             raise LabError(
                 f"experiment {entry.name} (seed {entry.seed}) failed: "
-                f"{outcome.error}"
-            )
-        return list(outcome.records)
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
     raise LabError(f"unknown lab entry kind {entry.kind!r}")
 
 
@@ -645,7 +658,6 @@ def run_missing(
     registry: LabRegistry,
     entries: Sequence[LabEntry],
     parallel: int = 1,
-    fleet: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> RunMissingResult:
     """Execute exactly the suite entries the registry does not hold yet.
@@ -654,9 +666,9 @@ def run_missing(
     updated), so interrupting the sweep at any point loses only the jobs
     in flight: the next ``run_missing`` with the same suite executes the
     remainder and the final registry is byte-identical to an
-    uninterrupted sweep.  ``fleet`` replays scenario entries through the
-    stacked fleet engine -- a pure accelerator, records (and therefore
-    artifacts) are bit-for-bit unchanged.
+    uninterrupted sweep.  ``parallel`` fans the missing entries over the
+    persistent worker pool (:func:`repro.parallel.iter_jobs`); artifacts
+    are byte-identical for any value.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
@@ -670,12 +682,12 @@ def run_missing(
 
     if parallel == 1 or len(missing) <= 1:
         for entry in missing:
-            registry.record(entry, _execute_entry(entry.to_job_json(), fleet))
+            registry.record(entry, _execute_entry(entry.to_job_json()))
             note(entry)
     else:
         from repro.parallel import iter_jobs
 
-        jobs = [(entry.to_job_json(), fleet) for entry in missing]
+        jobs = [(entry.to_job_json(),) for entry in missing]
         for index, records in iter_jobs(min(parallel, len(jobs)), _execute_entry, jobs):
             registry.record(missing[index], records)
             note(missing[index])

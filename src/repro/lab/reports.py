@@ -247,7 +247,7 @@ def generate_results(
             "competitor reached lower final congestion (ties share the "
             "win); the ratio column is its mean congestion relative to "
             "the hindsight-static baseline of the same group.  Rerun "
-            "with `repro tournament`.*"
+            "with `repro lab run-missing --suite tournament`.*"
         )
         parts.append("")
         parts.append(

@@ -8,9 +8,10 @@ counter family (the default rent-or-buy :class:`EdgeCounterManager`, an
 eager low-threshold tuning, migration hysteresis, and a hand-tuned
 rent-or-buy threshold split).  Because the spec document embeds the
 strategy set, tournament runs are content-addressed in the lab registry
-exactly like scenario runs: resumable via ``run-missing``, byte-identical
-across serial / ``--parallel`` / ``--fleet`` execution, and consumed by
-the generated RESULTS.md leaderboard without hand transcription.
+exactly like scenario runs: the ``tournament`` lab suite runs them
+(``repro lab run-missing --suite tournament``, resumable and
+byte-identical for any ``--parallel``), and ``repro lab report --suite
+tournament`` prints the leaderboard derived from the stored artifacts.
 
 The fleet engine makes this shape cheap: all six lanes of one tournament
 entry replay in a single timeline pass over a shared

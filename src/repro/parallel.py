@@ -1,26 +1,23 @@
-"""Persistent worker pools shared by the sweep layers.
+"""The persistent worker pool behind the lab executor.
 
-Both sweep entry points -- the experiment runner of
-:mod:`repro.analysis.runner` and the scenario sweeps of
-:mod:`repro.sim.scenario` -- fan independent jobs out over worker
-processes.  Spinning a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
-up per call throws the workers' warm state away: imports, and (for
-scenario sweeps) the per-worker substrate caches that let one worker
-build a network size's substrate once and replay every strategy/spec job
-against it.  This module keeps one pool alive per worker count instead;
-repeated sweeps in one process (experiment batteries, test suites, the
-CLI called from a driver loop) reuse the same workers and their caches.
+:func:`repro.lab.registry.run_missing` -- the one sweep driver for
+experiments, scenario families and tournaments -- fans independent jobs
+out over worker processes through :func:`iter_jobs`.  Spinning a fresh
+:class:`~concurrent.futures.ProcessPoolExecutor` up per call throws the
+workers' warm state (imports, compiled kernels) away, so this module keeps
+one pool alive per worker count instead; repeated sweeps in one process
+(test suites, the CLI called from a driver loop) reuse the same workers.
 
 Pools are shut down at interpreter exit.  Determinism is unaffected:
-jobs carry their own seeds and the callers collect futures in submission
-order, so results are independent of which worker runs what.
+jobs carry their own seeds and results come back tagged with their job
+index, so they are independent of which worker runs what.
 
 A pool whose workers died (OOM kill, segfault) enters the executor's
-broken state permanently.  :func:`run_jobs` and :func:`iter_jobs` handle
-that through the public :class:`~concurrent.futures.process.BrokenProcessPool`
-exception: the dead pool is discarded, a fresh one replaces it, and the
-affected jobs are resubmitted **once** (sweep jobs are pure functions of
-their arguments, so a rerun is safe).  A second break in the same call
+broken state permanently.  :func:`iter_jobs` handles that through the
+public :class:`~concurrent.futures.process.BrokenProcessPool` exception:
+the dead pool is discarded, a fresh one replaces it, and the not yet
+delivered jobs are resubmitted **once** (sweep jobs are pure functions
+of their arguments, so a rerun is safe).  A second break in the same call
 propagates -- a workload that reliably kills its workers is a real
 failure, not a pool-lifecycle hiccup.
 
@@ -43,7 +40,6 @@ from repro import faults
 
 __all__ = [
     "persistent_pool",
-    "run_jobs",
     "iter_jobs",
     "shutdown_pools",
     "BrokenProcessPool",
@@ -84,8 +80,8 @@ def persistent_pool(max_workers: int) -> ProcessPoolExecutor:
     shut down automatically at interpreter exit (or explicitly via
     :func:`shutdown_pools`).  Submitting to a pool whose workers died
     raises :class:`BrokenProcessPool`; callers that want the
-    replace-and-retry behaviour should go through :func:`run_jobs` /
-    :func:`iter_jobs` rather than submitting directly.
+    replace-and-retry behaviour should go through :func:`iter_jobs`
+    rather than submitting directly.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -106,42 +102,13 @@ def _discard_pool(max_workers: int) -> None:
             pass  # a broken pool may be torn down already
 
 
-def run_jobs(max_workers: int, fn, jobs):
-    """Run ``fn(*args)`` for every ``args`` in ``jobs`` on the shared pool.
-
-    Results come back in submission order (determinism does not depend on
-    worker scheduling).  If collecting a result raises, the not-yet-started
-    jobs are cancelled so no orphaned work keeps running in the persistent
-    pool, and the exception propagates.  A pool broken by dying workers
-    (:class:`BrokenProcessPool`) is replaced and the whole job list is
-    resubmitted once; jobs must therefore be pure functions of their
-    arguments (the sweep jobs are).
-    """
-    jobs = list(jobs)
-    try:
-        return _collect_jobs(persistent_pool(max_workers), fn, jobs)
-    except BrokenProcessPool:
-        _discard_pool(max_workers)
-        return _collect_jobs(persistent_pool(max_workers), fn, jobs)
-
-
-def _collect_jobs(pool: ProcessPoolExecutor, fn, jobs):
-    """Submit all jobs and collect results in submission order."""
-    futures = [_submit(pool, fn, args) for args in jobs]
-    try:
-        return [future.result() for future in futures]
-    finally:
-        for future in futures:
-            future.cancel()
-
-
 def iter_jobs(max_workers: int, fn, jobs):
     """Yield ``(index, fn(*jobs[index]))`` pairs in *completion* order.
 
-    The streaming counterpart of :func:`run_jobs` for callers that persist
-    each result as soon as it exists (the lab registry's ``run-missing``
-    writes every finished artifact immediately, so a killed sweep keeps
-    all completed work).  ``index`` is the job's position in ``jobs``;
+    Results stream out as they finish, so callers can persist each one
+    as soon as it exists (the lab registry's ``run-missing`` writes every
+    finished artifact immediately, so a killed sweep keeps all completed
+    work).  ``index`` is the job's position in ``jobs``;
     callers that need submission order can reassemble it.  If a job
     raises, or the consumer abandons the generator, the not-yet-started
     jobs are cancelled so no orphaned work keeps running in the

@@ -1,7 +1,5 @@
 """Tests for the high-level experiment runners (E1 -- E10)."""
 
-import pytest
-
 from repro.analysis.experiments import (
     churn_scenario_suite,
     experiment_approximation_ratio,
@@ -145,22 +143,19 @@ class TestE10:
             assert len(seq) > 0
             assert len(trace) > 0
 
-    def test_filtered_suite_matches_full_slice(self):
-        # the CLI builds one scenario lazily; every scenario is seeded
-        # independently, so the filtered tuple must equal the full one
-        full = {name: (seq, trace)
-                for name, _net, seq, trace in churn_scenario_suite(seed=3, small=True)}
-        for name in ("flash-crowd", "storm"):
-            ((got_name, _net, seq, trace),) = churn_scenario_suite(
-                seed=3, small=True, names=[name]
-            )
-            assert got_name == name
-            assert seq.events == full[name][0].events
-            assert trace.mutations == full[name][1].mutations
+    def test_suite_scenarios_are_the_simulate_families(self):
+        # E10's scenarios are registered families, each seeded on its own,
+        # so `repro simulate --scenario <name>` replays exactly one of them
+        from repro.sim.scenario import build_scenario, scenario_spec
 
-    def test_unknown_scenario_name_rejected(self):
-        with pytest.raises(KeyError):
-            churn_scenario_suite(small=True, names=["earthquake"])
+        suite = churn_scenario_suite(seed=3, small=True)
+        assert [name for name, *_ in suite] == [
+            "flash-crowd", "maintenance", "degradation", "storm"
+        ]
+        for name, _net, seq, trace in suite:
+            (built,) = build_scenario(scenario_spec(name, seed=3, small=True))
+            assert seq.events == built.sequence.events
+            assert trace.mutations == built.trace.mutations
 
     def test_topology_churn_rows(self):
         records = experiment_topology_churn(small=True)

@@ -1,15 +1,13 @@
-"""Tests for the parallel experiment runner."""
+"""Tests for the experiment runner table and its seeding contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.runner import (
-    EXPERIMENT_IDS,
-    ExperimentOutcome,
-    experiment_seeds,
-    run_experiments,
-)
+from repro.analysis.runner import EXPERIMENT_IDS, experiment_seeds, run_experiment
+
+COMMITTED_REGISTRY = Path(__file__).resolve().parents[2] / "lab" / "registry"
 
 
 class TestSeeds:
@@ -27,69 +25,6 @@ class TestSeeds:
     def test_base_seed_changes_seeds(self):
         assert experiment_seeds(0, ["E1"]) != experiment_seeds(1, ["E1"])
 
-
-class TestRunExperiments:
-    def test_inline_run_returns_records(self):
-        outcomes = run_experiments(ids=["E1", "E4"], parallel=1)
-        assert [o.experiment for o in outcomes] == ["E1", "E4"]
-        assert all(o.ok for o in outcomes)
-        assert all(len(o.records) > 0 for o in outcomes)
-
-    def test_parallel_matches_inline(self):
-        inline = run_experiments(ids=["E1", "E4", "E7"], parallel=1, seed=3)
-        fanned = run_experiments(ids=["E1", "E4", "E7"], parallel=3, seed=3)
-        assert [o.experiment for o in inline] == [o.experiment for o in fanned]
-        assert [o.seed for o in inline] == [o.seed for o in fanned]
-        assert [o.records for o in inline] == [o.records for o in fanned]
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(KeyError):
-            run_experiments(ids=["E99"])
-
-    def test_bad_parallel_rejected(self):
-        with pytest.raises(ValueError):
-            run_experiments(ids=["E1"], parallel=0)
-
-    def test_small_and_large_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            run_experiments(ids=["E5"], small=True, large=True)
-
-
-class TestArtifacts:
-    def test_artifacts_written(self, tmp_path):
-        out = tmp_path / "results"
-        outcomes = run_experiments(ids=["E1", "E7"], parallel=1, output_dir=out)
-        for outcome in outcomes:
-            assert outcome.artifact is not None
-            doc = json.loads(open(outcome.artifact).read())
-            assert doc["format"] == "repro.experiment-result/v1"
-            assert doc["experiment"] == outcome.experiment
-            assert doc["n_records"] == len(outcome.records)
-            assert doc["error"] is None
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["all_ok"] is True
-        assert [e["experiment"] for e in summary["experiments"]] == ["E1", "E7"]
-
-    def test_failed_experiment_is_isolated(self, tmp_path, monkeypatch):
-        from repro.analysis import runner as runner_mod
-
-        def boom(**kwargs):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setitem(runner_mod.EXPERIMENT_RUNNERS, "E1", boom)
-        outcomes = run_experiments(
-            ids=["E1", "E7"], parallel=1, output_dir=tmp_path / "res"
-        )
-        assert not outcomes[0].ok
-        assert "synthetic failure" in outcomes[0].error
-        assert outcomes[1].ok
-        summary = json.loads((tmp_path / "res" / "summary.json").read_text())
-        assert summary["all_ok"] is False
-
-
-class TestParallelDeterminism:
-    """--parallel must not leak into results: the seeding contract of PR 1."""
-
     def test_seed_matrix_natural_order(self):
         # E10/E11 sort after E9, so E1..E9 keep their entropy indices (and
         # therefore their per-experiment seeds) from before they existed
@@ -97,110 +32,141 @@ class TestParallelDeterminism:
         assert list(EXPERIMENT_IDS[9:]) == ["E10", "E11"]
         assert list(EXPERIMENT_IDS[:9]) == [f"E{i}" for i in range(1, 10)]
 
-    def test_parallel_1_and_4_byte_identical_artifacts(self, tmp_path):
-        # every seeded experiment; E6 is excluded because its *records* are
-        # wall-clock runtime measurements (its payload is timing data), not
-        # a function of the seed
-        ids = [i for i in EXPERIMENT_IDS if i != "E6"]
-        run_experiments(
-            ids=ids, parallel=1, seed=5, small=True,
-            output_dir=tmp_path / "seq", stable_artifacts=True,
-        )
-        run_experiments(
-            ids=ids, parallel=4, seed=5, small=True,
-            output_dir=tmp_path / "par", stable_artifacts=True,
-        )
-        for name in [f"{i}.json" for i in ids] + ["summary.json"]:
-            sequential = (tmp_path / "seq" / name).read_bytes()
-            parallel = (tmp_path / "par" / name).read_bytes()
-            assert sequential == parallel, f"{name} differs between parallel modes"
 
-    def test_stable_artifacts_zero_wallclock(self, tmp_path):
-        outcomes = run_experiments(
-            ids=["E1"], parallel=1, output_dir=tmp_path, stable_artifacts=True
-        )
-        doc = json.loads((tmp_path / "E1.json").read_text())
-        assert doc["elapsed_seconds"] == 0.0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["total_seconds"] == 0.0
-        assert summary["experiments"][0]["artifact"] == "E1.json"
-        # the returned outcomes still carry the real timings
-        assert outcomes[0].elapsed_seconds > 0.0
+class TestRunExperiment:
+    def test_returns_records(self):
+        for exp_id in ("E1", "E4"):
+            records = run_experiment(exp_id, experiment_seeds(0, [exp_id])[exp_id])
+            assert isinstance(records, list) and len(records) > 0
 
-    def test_stable_artifacts_field_contract_is_pinned(self, tmp_path):
-        """Exactly these fields are stabilised -- and nothing else.
+    def test_unknown_id_rejected(self):
+        with pytest.raises(KeyError):
+            run_experiment("E99", 0)
 
-        The documented contract of ``--stable-artifacts``: per-experiment
-        artifacts have only ``elapsed_seconds`` zeroed; the summary has
-        ``total_seconds`` zeroed and, per row, ``seconds`` zeroed and
-        ``artifact`` reduced to a basename.  ``records`` are never touched.
-        """
-        run_experiments(
-            ids=["E1"], parallel=1, seed=2,
-            output_dir=tmp_path / "stable", stable_artifacts=True,
-        )
-        run_experiments(
-            ids=["E1"], parallel=1, seed=2,
-            output_dir=tmp_path / "raw", stable_artifacts=False,
-        )
-        stable = json.loads((tmp_path / "stable" / "E1.json").read_text())
-        raw = json.loads((tmp_path / "raw" / "E1.json").read_text())
-        assert set(stable) == set(raw)
-        differing = {k for k in raw if stable[k] != raw[k]}
-        assert differing <= {"elapsed_seconds"}
-        assert stable["records"] == raw["records"]
+    def test_small_and_large_mutually_exclusive(self):
+        with pytest.raises(ValueError):
+            run_experiment("E5", 0, small=True, large=True)
 
-        stable_summary = json.loads(
-            (tmp_path / "stable" / "summary.json").read_text()
-        )
-        raw_summary = json.loads((tmp_path / "raw" / "summary.json").read_text())
-        assert stable_summary["total_seconds"] == 0.0
-        (stable_row,) = stable_summary["experiments"]
-        (raw_row,) = raw_summary["experiments"]
-        assert set(stable_row) == set(raw_row)
-        assert stable_row["seconds"] == 0.0
-        assert stable_row["artifact"] == "E1.json"
-        row_diff = {k for k in raw_row if stable_row[k] != raw_row[k]}
-        assert row_diff <= {"seconds", "artifact"}
-
-
-class TestRegistryIntegration:
-    def test_registry_records_successful_runs(self, tmp_path):
-        from repro.lab.registry import LabRegistry, experiment_entry
-
-        reg_root = tmp_path / "reg"
-        outcomes = run_experiments(
-            ids=["E1", "E4"], parallel=1, seed=0, small=True, registry=reg_root
-        )
-        registry = LabRegistry(reg_root)
-        seeds = experiment_seeds(0, ["E1", "E4"])
-        for outcome in outcomes:
-            entry = experiment_entry(
-                outcome.experiment, seeds[outcome.experiment], small=True
-            )
-            assert registry.has(entry.key)
-            assert registry.get(entry.key)["records"] == outcome.records
-
-    def test_registry_skips_e6_and_failures(self, tmp_path, monkeypatch):
+    def test_failing_runner_raises(self, monkeypatch):
         from repro.analysis import runner as runner_mod
-        from repro.lab.registry import LabRegistry
 
         def boom(**kwargs):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(runner_mod.EXPERIMENT_RUNNERS, "E1", boom)
-        reg_root = tmp_path / "reg"
-        run_experiments(ids=["E1", "E6"], parallel=1, small=True, registry=reg_root)
-        index = LabRegistry(reg_root).load_index()
-        assert index == {}
+        with pytest.raises(RuntimeError, match="synthetic failure"):
+            run_experiment("E1", 0)
 
+    @pytest.mark.parametrize("exp_id", ["E4", "E10"])
+    def test_records_equal_the_committed_registry_artifact(self, exp_id):
+        # `repro experiment <id> --small` prints these records, so it
+        # reports exactly the numbers RESULTS.md is generated from
+        from repro.lab.registry import LabRegistry, _json_default, experiment_entry
 
-class TestOutcome:
-    def test_summary_row_shape(self):
-        outcome = ExperimentOutcome(
-            experiment="E1", seed=1, small=False, elapsed_seconds=0.5
+        seed = experiment_seeds(0, [exp_id])[exp_id]
+        stored = LabRegistry(COMMITTED_REGISTRY).get(
+            experiment_entry(exp_id, seed, small=True).key
         )
-        row = outcome.summary_row()
-        assert row["experiment"] == "E1"
-        assert row["status"] == "ok"
-        assert row["artifact"] == "-"
+        records = run_experiment(exp_id, seed, small=True)
+        encoded = json.loads(json.dumps(records, default=_json_default))
+        assert encoded == stored["records"]
+
+
+class TestExperimentSuiteSweep:
+    """The experiments lab suite replaces the old experiment sweep command."""
+
+    def test_parallel_sweep_byte_identical_to_serial(self, tmp_path):
+        from repro.lab.registry import LabRegistry, run_missing, suite_entries
+
+        entries = [
+            entry
+            for entry in suite_entries("experiments", seed=3, small=True)
+            if entry.name in ("E1", "E4", "E7")
+        ]
+        serial = LabRegistry(tmp_path / "serial")
+        fanned = LabRegistry(tmp_path / "fanned")
+        run_missing(serial, entries, parallel=1)
+        run_missing(fanned, entries, parallel=3)
+        assert fanned.index_path.read_bytes() == serial.index_path.read_bytes()
+        for entry in entries:
+            assert (
+                fanned.artifact_path(entry.key).read_bytes()
+                == serial.artifact_path(entry.key).read_bytes()
+            )
+
+    def test_suite_is_every_runner_but_e6(self):
+        # E6's records are wall-clock timings: `repro experiment E6` runs
+        # it, but the content-addressed registry cannot hold it
+        from repro.lab.registry import suite_entries
+
+        entries = suite_entries("experiments", seed=0, small=True)
+        assert [entry.name for entry in entries] == [
+            exp_id for exp_id in EXPERIMENT_IDS if exp_id != "E6"
+        ]
+        seeds = experiment_seeds(0, EXPERIMENT_IDS)
+        assert all(entry.seed == seeds[entry.name] for entry in entries)
+        assert {entry.kind for entry in entries} == {"experiment"}
+
+    def test_artifacts_hold_the_run_experiment_records(self, tmp_path):
+        from repro.lab.registry import (
+            LabRegistry,
+            _json_default,
+            run_missing,
+            suite_entries,
+        )
+
+        entries = [
+            entry
+            for entry in suite_entries("experiments", seed=5, small=True)
+            if entry.name in ("E1", "E7")
+        ]
+        registry = LabRegistry(tmp_path / "reg")
+        result = run_missing(registry, entries)
+        assert result.n_executed == 2
+        for entry in entries:
+            payload = registry.get(entry.key)
+            assert payload["kind"] == "experiment"
+            assert payload["spec"] == {
+                "kind": "experiment",
+                "experiment": entry.name,
+                "small": True,
+                "large": False,
+            }
+            records = run_experiment(entry.name, entry.seed, small=True)
+            encoded = json.loads(json.dumps(records, default=_json_default))
+            assert payload["records"] == encoded
+            assert payload["n_records"] == len(records)
+
+    def test_failed_experiment_is_reported_and_not_stored(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis import runner as runner_mod
+        from repro.errors import LabError
+        from repro.lab.registry import LabRegistry, run_missing, suite_entries
+
+        entries = [
+            entry
+            for entry in suite_entries("experiments", seed=0, small=True)
+            if entry.name in ("E1", "E4", "E7")
+        ]
+        real_e4 = runner_mod.EXPERIMENT_RUNNERS["E4"]
+
+        def boom(**kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setitem(runner_mod.EXPERIMENT_RUNNERS, "E4", boom)
+        registry = LabRegistry(tmp_path / "reg")
+        with pytest.raises(
+            LabError,
+            match=rf"experiment E4 \(seed {entries[1].seed}\) failed: "
+            "RuntimeError: synthetic failure",
+        ):
+            run_missing(registry, entries)
+        assert registry.has(entries[0].key)
+        assert not registry.has(entries[1].key)
+        assert not registry.has(entries[2].key)
+
+        monkeypatch.setitem(runner_mod.EXPERIMENT_RUNNERS, "E4", real_e4)
+        resumed = run_missing(registry, entries)
+        assert resumed.already_stored == 1
+        assert resumed.n_executed == 2

@@ -20,7 +20,7 @@ from repro.lab.registry import (
     scenario_entry,
     tournament_entry,
 )
-from repro.parallel import iter_jobs, run_jobs, shutdown_pools
+from repro.parallel import iter_jobs, shutdown_pools
 from repro.sim.scenario import scenario_spec
 
 
@@ -48,14 +48,6 @@ def arm_kill_plan(monkeypatch, sentinel) -> None:
 
 
 class TestKilledWorker:
-    def test_run_jobs_recovers_from_an_injected_kill(self, tmp_path, monkeypatch):
-        sentinel = tmp_path / "claimed"
-        arm_kill_plan(monkeypatch, sentinel)
-        assert run_jobs(2, _square, [(i,) for i in range(6)]) == [
-            i * i for i in range(6)
-        ]
-        assert sentinel.exists()  # the kill really fired
-
     def test_iter_jobs_recovers_and_loses_no_results(self, tmp_path, monkeypatch):
         sentinel = tmp_path / "claimed"
         arm_kill_plan(monkeypatch, sentinel)
@@ -75,13 +67,13 @@ class TestFleetSweepSurvivesWorkerKill:
             scenario_entry(scenario_spec("storm", seed=0, small=True), 0),
         ]
         clean = LabRegistry(tmp_path / "clean")
-        run_missing(clean, suite, parallel=2, fleet=True)
+        run_missing(clean, suite, parallel=2)
 
         sentinel = tmp_path / "claimed"
         arm_kill_plan(monkeypatch, sentinel)
         shutdown_pools()  # fresh workers, forked under the armed plan
         chaos = LabRegistry(tmp_path / "chaos")
-        outcome = run_missing(chaos, suite, parallel=2, fleet=True)
+        outcome = run_missing(chaos, suite, parallel=2)
 
         assert sentinel.exists()  # a worker really died mid-sweep
         assert sorted(outcome.executed) == sorted(

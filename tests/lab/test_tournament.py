@@ -38,13 +38,27 @@ class TestExecution:
         assert result.already_stored == 1
         assert result.n_executed == 0
 
-    def test_fleet_execution_is_byte_identical(self, stored_tournament, tmp_path):
+    def test_stored_records_equal_strategy_by_strategy_replay(
+        self, stored_tournament
+    ):
+        # the executor replays all six lanes in one stacked fleet pass;
+        # the stored records must equal six independent engine runs
+        from repro.sim.engine import SimulationEngine
+        from repro.sim.scenario import _strategy_record, build_scenario
+
         registry, entry = stored_tournament
-        fleet_registry = LabRegistry(tmp_path / "fleet")
-        run_missing(fleet_registry, [entry], fleet=True)
-        a = registry.artifact_path(entry.key).read_text()
-        b = fleet_registry.artifact_path(entry.key).read_text()
-        assert a == b
+        (built,) = build_scenario(tournament_spec("zipf", seed=0, small=True))
+        sequential = [
+            _strategy_record(
+                built,
+                sname,
+                SimulationEngine(factory(), sinks=built.make_sinks()).run(
+                    built.sequence, built.trace
+                ),
+            )
+            for sname, factory in built.strategies
+        ]
+        assert registry.get(entry.key)["records"] == sequential
 
 
 class TestLeaderboard:
@@ -73,6 +87,17 @@ class TestLeaderboard:
             )
 
         assert rows == sorted(rows, key=sort_key)
+
+    def test_report_points_at_the_lab_suite(self, stored_tournament, tmp_path):
+        from repro.lab.reports import generate_results
+
+        registry, entry = stored_tournament
+        text = generate_results(
+            registry, [entry], bench_history=tmp_path / "absent.json"
+        )
+        assert "## Strategy tournament leaderboard" in text
+        assert "Rerun with `repro lab run-missing --suite tournament`" in text
+        assert "`repro tournament`" not in text
 
     def test_leaderboard_is_deterministic(self, stored_tournament):
         registry, entry = stored_tournament

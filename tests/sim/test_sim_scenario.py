@@ -139,44 +139,92 @@ class TestBuildAndRun:
         assert record["management_load"] == 0
 
 
-class TestFleetAndParallel:
-    """The stacked fleet engine and the worker-pool sweep path must be
-    invisible in the records: identical content for any mode."""
+class TestFleetEqualsSequential:
+    """``run_scenario`` replays multi-strategy entries as one stacked fleet;
+    its records must equal an explicit strategy-by-strategy replay
+    (invariant 7 at the record level, sinks included)."""
+
+    @staticmethod
+    def sequential_records(spec):
+        from repro.sim.engine import SimulationEngine
+        from repro.sim.scenario import _strategy_record
+
+        return [
+            _strategy_record(
+                built,
+                sname,
+                SimulationEngine(factory(), sinks=built.make_sinks()).run(
+                    built.sequence, built.trace
+                ),
+            )
+            for built in build_scenario(spec)
+            for sname, factory in built.strategies
+        ]
 
     @pytest.mark.parametrize("name", ["zipf", "storm", "fleet-sweep"])
     def test_fleet_records_equal_serial(self, name):
         spec = scenario_spec(name, seed=0, small=True)
-        serial = run_scenario(spec)
-        fleet = run_scenario(spec, fleet=True)
-        assert json.dumps(serial) == json.dumps(fleet)
+        fleet = run_scenario(spec)
+        assert len(fleet) >= 2 and all("trajectory" in r for r in fleet)
+        assert json.dumps(fleet) == json.dumps(self.sequential_records(spec))
 
-    def test_parallel_records_equal_serial(self):
-        spec = scenario_spec("fleet-sweep", seed=0, small=True)
-        serial = run_scenario(spec)
-        assert json.dumps(serial) == json.dumps(run_scenario(spec, parallel=2))
-        assert json.dumps(serial) == json.dumps(
-            run_scenario(spec, fleet=True, parallel=2)
+    def test_churn_scenario_other_seed(self):
+        spec = scenario_spec("storm", seed=1, small=True)
+        assert json.dumps(run_scenario(spec)) == json.dumps(
+            self.sequential_records(spec)
         )
 
-    def test_parallel_with_churn_scenario(self):
-        spec = scenario_spec("storm", seed=1, small=True)
-        serial = run_scenario(spec)
-        assert json.dumps(serial) == json.dumps(run_scenario(spec, parallel=2))
+    def test_multi_strategy_entries_replay_as_one_fleet_pass(self, monkeypatch):
+        from repro.sim.engine import SimulationEngine
 
-    def test_parallel_rejects_bad_worker_count(self):
-        spec = scenario_spec("zipf", seed=0, small=True)
-        with pytest.raises(ValueError):
-            run_scenario(spec, parallel=0)
+        real_fleet = SimulationEngine.run_fleet
+        lanes = []
 
-    def test_worker_substrate_cache_is_reused(self):
-        from repro.sim.scenario import _worker_run_job
+        def counting_fleet(managers, *args, **kwargs):
+            lanes.append(len(managers))
+            return real_fleet(managers, *args, **kwargs)
 
-        spec = scenario_spec("zipf", seed=0, small=True)
-        spec_json = spec.to_json()
-        first = _worker_run_job(spec_json, 0, 0, False)
-        second = _worker_run_job(spec_json, 0, 1, False)
-        from repro.sim import scenario as scenario_module
+        def no_single_run(self, *args, **kwargs):
+            raise AssertionError("multi-strategy entry replayed lane by lane")
 
-        assert (spec_json, 0) in scenario_module._WORKER_BUILT
-        serial = run_scenario(spec)
-        assert json.dumps(first + second) == json.dumps(serial)
+        spec = scenario_spec("fleet-sweep", seed=0, small=True)
+        monkeypatch.setattr(
+            SimulationEngine, "run_fleet", staticmethod(counting_fleet)
+        )
+        monkeypatch.setattr(SimulationEngine, "run", no_single_run)
+        records = run_scenario(spec)
+        assert lanes == [len(spec.strategies)] * len(spec.sweep)
+        assert len(records) == sum(lanes)
+
+    def test_single_strategy_entry_replays_through_engine_run(self, monkeypatch):
+        import dataclasses
+
+        from repro.sim.engine import SimulationEngine
+
+        spec = scenario_spec("storm", seed=0, small=True)
+        single = dataclasses.replace(spec, strategies=spec.strategies[1:2])
+        expected = self.sequential_records(single)
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("a single strategy needs no fleet pass")
+
+        monkeypatch.setattr(SimulationEngine, "run_fleet", staticmethod(no_fleet))
+        records = run_scenario(single)
+        assert [r["strategy"] for r in records] == ["edge-counter"]
+        assert json.dumps(records) == json.dumps(expected)
+
+    def test_parallel_suite_sweep_stores_the_run_scenario_records(self, tmp_path):
+        # the lab executor is the only fan-out: entries spread over worker
+        # processes must store exactly what an in-process replay returns
+        from repro.lab.registry import LabRegistry, run_missing, scenario_entry
+
+        specs = [
+            scenario_spec(name, seed=0, small=True)
+            for name in ("zipf", "storm", "fleet-sweep")
+        ]
+        entries = [scenario_entry(spec, 0) for spec in specs]
+        registry = LabRegistry(tmp_path / "reg")
+        assert run_missing(registry, entries, parallel=2).n_executed == 3
+        for spec, entry in zip(specs, entries):
+            stored = registry.get(entry.key)["records"]
+            assert stored == json.loads(json.dumps(run_scenario(spec)))

@@ -23,6 +23,54 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "E99"])
 
+    def test_experiment_choices_in_natural_order(self):
+        from repro.analysis.runner import EXPERIMENT_IDS
+
+        (sub,) = [
+            a for a in build_parser()._actions if a.dest == "command"
+        ]
+        exp = sub.choices["experiment"]
+        (id_action,) = [a for a in exp._actions if a.dest == "id"]
+        assert list(id_action.choices) == list(EXPERIMENT_IDS)
+
+    @pytest.mark.parametrize("command", ["run-experiments", "tournament", "churn"])
+    def test_retired_sweep_commands_are_unknown(self, command):
+        # their sweeps are lab suites now (`repro lab run-missing --suite ...`)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scenario", "storm", "--fleet"],
+            ["simulate", "--scenario", "storm", "--parallel", "2"],
+            ["lab", "run-missing", "--fleet"],
+        ],
+    )
+    def test_retired_executor_knobs_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run-missing", "status", "report", "gc"])
+    def test_lab_suite_choices_come_from_lab_suites(self, command):
+        from repro.lab.registry import LAB_SUITES
+
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        (lab_sub,) = [
+            a for a in sub.choices["lab"]._actions if a.dest == "lab_command"
+        ]
+        (suite,) = [
+            a for a in lab_sub.choices[command]._actions if a.dest == "suite"
+        ]
+        assert list(suite.choices) == list(LAB_SUITES)
+
+    def test_unknown_lab_suite_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["lab", "run-missing", "--suite", "nightly"])
+        assert excinfo.value.code == 2
+
 
 class TestGenerateAndInfo:
     def test_generate_balanced_network_and_info(self, tmp_path):
@@ -166,37 +214,6 @@ class TestWorkloadAndPlace:
         assert strategy in text
 
 
-class TestRunExperimentsCommand:
-    def test_sequential_sweep(self):
-        code, text = run_cli(["run-experiments", "--ids", "E1", "E7"])
-        assert code == 0
-        assert "E1" in text and "E7" in text and "ok" in text
-
-    def test_parallel_sweep_with_artifacts(self, tmp_path):
-        out = tmp_path / "results"
-        code, text = run_cli(
-            [
-                "run-experiments",
-                "--ids",
-                "E1",
-                "E4",
-                "--parallel",
-                "2",
-                "-o",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert (out / "E1.json").exists()
-        assert (out / "E4.json").exists()
-        data = json.loads((out / "summary.json").read_text())
-        assert data["all_ok"] is True
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-experiments", "--ids", "E99"])
-
-
 class TestExperimentCommand:
     def test_experiment_e1(self):
         code, text = run_cli(["experiment", "E1"])
@@ -216,54 +233,71 @@ class TestExperimentCommand:
         assert "phase-shift" in text
 
     def test_experiment_e10_small(self):
+        from repro.analysis.runner import experiment_seeds
+
         code, text = run_cli(["experiment", "E10", "--small"])
         assert code == 0
+        # the seed the lab registry keys E10 by, not the runner default
+        assert f"experiment E10 (seed {experiment_seeds(0, ['E10'])['E10']})" in text
         assert "flash-crowd" in text
         assert "storm" in text
         assert "hindsight-static" in text
         assert "repair_consistent" in text
 
+    def test_experiment_e10_small_prints_the_registry_rows(self):
+        from pathlib import Path
 
-class TestChurnCommand:
-    def test_churn_storm_smoke(self, tmp_path):
+        from repro.analysis.runner import experiment_seeds
+        from repro.cli import _print_records
+        from repro.lab.registry import LabRegistry, experiment_entry
+
+        seed = experiment_seeds(0, ["E10"])["E10"]
+        committed = Path(__file__).resolve().parents[1] / "lab" / "registry"
+        stored = LabRegistry(committed).get(
+            experiment_entry("E10", seed, small=True).key
+        )
+        code, text = run_cli(["experiment", "E10", "--small"])
+        assert code == 0
+        # artifacts store keys sorted; print them in the table's column order
+        columns = text.splitlines()[1].split()
+        assert sorted(columns) == sorted(stored["records"][0])
+        expected = io.StringIO()
+        _print_records(
+            [{col: rec[col] for col in columns} for rec in stored["records"]],
+            expected,
+        )
+        assert expected.getvalue() in text
+
+
+class TestChurnScenarios:
+    """The churn families replay through `simulate` (E10's building blocks)."""
+
+    @pytest.mark.parametrize(
+        "scenario", ["flash-crowd", "maintenance", "degradation", "storm"]
+    )
+    def test_simulate_churn_family(self, tmp_path, scenario):
         out = tmp_path / "churn.json"
         code, text = run_cli(
-            ["churn", "--scenario", "storm", "--small", "--seed", "1", "-o", str(out)]
+            ["simulate", "--scenario", scenario, "--small", "--seed", "1",
+             "-o", str(out)]
         )
         assert code == 0
-        assert "churn scenario storm" in text
+        assert f"scenario {scenario}" in text
         assert "edge-counter" in text and "hindsight-static" in text
         data = json.loads(out.read_text())
-        assert data["format"] == "repro.churn-result/v1"
-        assert data["scenario"] == "storm"
-        assert data["n_mutations"] > 0
+        assert data["scenario"] == scenario
         assert len(data["records"]) == 2
         for rec in data["records"]:
+            assert rec["n_mutations"] > 0
             assert rec["served"] + rec["dropped"] == rec["n_events"]
             assert rec["congestion"] >= 0
             assert len(rec["trajectory"]) >= 1
+            assert rec["repair_consistent"]
 
-    @pytest.mark.parametrize("scenario", ["flash-crowd", "maintenance", "degradation"])
-    def test_churn_all_scenarios(self, scenario):
-        code, text = run_cli(["churn", "--scenario", scenario, "--small"])
-        assert code == 0
-        assert f"churn scenario {scenario}" in text
-
-    def test_churn_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["churn", "--scenario", "earthquake"])
-
-    def test_run_experiments_accepts_e10(self, tmp_path):
-        out = tmp_path / "res"
-        code, text = run_cli(
-            ["run-experiments", "--ids", "E10", "--small",
-             "--stable-artifacts", "-o", str(out)]
-        )
-        assert code == 0
-        data = json.loads((out / "E10.json").read_text())
-        assert data["experiment"] == "E10"
-        assert data["elapsed_seconds"] == 0.0
-        assert data["n_records"] > 0
+    def test_unknown_scenario_rejected(self):
+        code, text = run_cli(["simulate", "--scenario", "earthquake", "--small"])
+        assert code == 2
+        assert "unknown scenario 'earthquake'" in text
 
 
 class TestSimulateCommand:
@@ -350,43 +384,37 @@ class TestSimulateCommand:
             artifacts.append(out.read_bytes())
         assert artifacts[0] == artifacts[1]
 
+    @pytest.mark.parametrize("scenario", ["storm", "fleet-sweep"])
+    def test_records_equal_single_strategy_runs(self, tmp_path, scenario):
+        # several strategies replay as one stacked fleet pass, one strategy
+        # through the plain engine; the records must not tell them apart
+        from repro.sim.scenario import scenario_spec
 
-class TestSimulateParallelAndFleet:
-    def test_parallel_artifact_byte_identical_to_serial(self, tmp_path):
-        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-        code, _ = run_cli(
-            ["simulate", "--scenario", "fleet-sweep", "--small", "-o", str(serial)]
-        )
+        document = scenario_spec(scenario, seed=1, small=True).to_dict()
+        out = tmp_path / "all.json"
+        spec_path = tmp_path / "all-spec.json"
+        spec_path.write_text(json.dumps(document))
+        code, _ = run_cli(["simulate", "--spec", str(spec_path), "-o", str(out)])
         assert code == 0
-        code, _ = run_cli(
-            [
-                "simulate", "--scenario", "fleet-sweep", "--small",
-                "--parallel", "2", "-o", str(parallel),
-            ]
-        )
-        assert code == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+        together = json.loads(out.read_text())["records"]
 
-    def test_fleet_artifact_byte_identical_to_serial(self, tmp_path):
-        serial, fleet = tmp_path / "serial.json", tmp_path / "fleet.json"
-        code, _ = run_cli(
-            ["simulate", "--scenario", "storm", "--small", "-o", str(serial)]
-        )
-        assert code == 0
-        code, _ = run_cli(
-            [
-                "simulate", "--scenario", "storm", "--small",
-                "--fleet", "-o", str(fleet),
-            ]
-        )
-        assert code == 0
-        assert serial.read_bytes() == fleet.read_bytes()
-
-    def test_parallel_rejects_zero(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["simulate", "--scenario", "zipf", "--parallel", "0"]
+        alone = []
+        for index, strategy in enumerate(document["strategies"]):
+            single = dict(document, strategies=[strategy])
+            spec_path = tmp_path / f"spec-{index}.json"
+            spec_path.write_text(json.dumps(single))
+            out = tmp_path / f"out-{index}.json"
+            code, _ = run_cli(
+                ["simulate", "--spec", str(spec_path), "-o", str(out)]
             )
+            assert code == 0
+            alone.append(json.loads(out.read_text())["records"])
+        # run_scenario orders records by sub-scenario, then strategy
+        n_strategies = len(document["strategies"])
+        assert len(together) == n_strategies * len(alone[0])
+        for position, record in enumerate(together):
+            sub, index = divmod(position, n_strategies)
+            assert record == alone[index][sub]
 
 
 class TestServeCommands:
@@ -531,3 +559,60 @@ class TestLab:
     def test_write_and_check_are_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lab", "report", "--write", "--check"])
+
+
+class TestLabSuites:
+    """The experiments and tournament sweeps run as lab suites."""
+
+    def test_experiments_suite_sweep(self, tmp_path):
+        from repro.analysis.runner import EXPERIMENT_IDS, experiment_seeds
+
+        root = tmp_path / "registry"
+        code, text = run_cli(
+            ["lab", "run-missing", "--suite", "experiments", "--small",
+             "--registry", str(root)]
+        )
+        assert code == 0
+        ids = [exp_id for exp_id in EXPERIMENT_IDS if exp_id != "E6"]
+        seeds = experiment_seeds(0, ids)
+        for exp_id in ids:
+            assert f"ran experiment {exp_id} (seed {seeds[exp_id]})" in text
+        assert "ran experiment E6" not in text
+        assert (
+            f"suite experiments: {len(ids)} entries, 0 already stored, "
+            f"{len(ids)} executed"
+        ) in text
+
+    def test_experiments_suite_parallel_sweep_is_byte_identical(self, tmp_path):
+        trees = []
+        for name, extra in (("serial", []), ("fanned", ["--parallel", "2"])):
+            root = tmp_path / name
+            code, _ = run_cli(
+                ["lab", "run-missing", "--suite", "experiments", "--small",
+                 "--registry", str(root), *extra]
+            )
+            assert code == 0
+            trees.append(
+                {
+                    path.relative_to(root).as_posix(): path.read_bytes()
+                    for path in sorted(root.rglob("*"))
+                    if path.is_file()
+                }
+            )
+        assert len(trees[0]) > 1
+        assert trees[0] == trees[1]
+
+    def test_tournament_suite_then_report_prints_the_leaderboard(self, tmp_path):
+        root = tmp_path / "registry"
+        common = ["--suite", "tournament", "--small", "--registry", str(root)]
+        code, text = run_cli(["lab", "run-missing", *common])
+        assert code == 0
+        assert "ran tournament tournament/zipf (seed 0)" in text
+        code, text = run_cli(
+            ["lab", "report", *common,
+             "--bench-history", str(tmp_path / "absent.json")]
+        )
+        assert code == 0
+        assert "## Strategy tournament leaderboard" in text
+        assert "| hindsight-static |" in text
+        assert "Rerun with `repro lab run-missing --suite tournament`" in text
