@@ -4,9 +4,10 @@ The paper's central experiment shape is comparative -- the same request
 timeline replayed under a whole family of placement strategies.  Run
 strategy by strategy, a K-strategy scenario pays K timeline decodes, K
 chunk aggregations, K LCA passes and K scatters over the *same* network.
-:meth:`repro.sim.engine.SimulationEngine.run_fleet` stacks the K cost
-accounts as lanes of one :class:`~repro.core.loadstate.StackedLoadState`
-and serves every chunk for all strategies at once.
+:meth:`repro.sim.engine.SimulationEngine.run_fleet` binds the K cost
+accounts to the K lanes (plain :class:`~repro.core.loadstate.LoadState`
+rows) of one :class:`~repro.core.loadstate.StackedLoadState` and serves
+every chunk for all strategies at once.
 
 This benchmark measures both sides on an 8-placement static fleet (the
 extended-nibble hindsight reference plus the full baseline family) and
@@ -93,7 +94,7 @@ def build_managers(name):
     for manager in managers:
         manager._nearest_tables_bulk(range(seq.n_objects))
         for obj in range(seq.n_objects):
-            manager._steiner_edge_ids_for(obj, manager.account.state)
+            manager._steiner_edge_ids_for(obj)
     return managers
 
 

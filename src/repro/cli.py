@@ -61,6 +61,7 @@ from repro.core.bounds import nibble_lower_bound
 from repro.core.congestion import compute_loads
 from repro.core.deletion import copies_to_placement, refine_copies
 from repro.core.extended_nibble import extended_nibble
+from repro.errors import SimulationError
 from repro.lab.registry import LAB_SUITES
 from repro.network.builders import (
     balanced_tree,
@@ -243,13 +244,7 @@ def _cmd_experiment(args: argparse.Namespace, stream) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, stream) -> int:
-    from repro.sim.scenario import (
-        SCENARIO_FAMILIES,
-        ScenarioSpec,
-        list_scenarios,
-        run_scenario,
-        scenario_spec,
-    )
+    from repro.sim.scenario import SCENARIO_FAMILIES, list_scenarios, run_scenario
 
     if args.list:
         rows = [
@@ -258,23 +253,11 @@ def _cmd_simulate(args: argparse.Namespace, stream) -> int:
         ]
         print(format_table(rows, headers=["scenario", "description"]), file=stream)
         return 0
-    if args.spec:
-        spec = ScenarioSpec.from_json(Path(args.spec).read_text())
-        seed = None  # a spec file carries its seeds inside the document
-    elif args.scenario:
-        if args.scenario not in SCENARIO_FAMILIES:
-            print(
-                f"simulate: unknown scenario {args.scenario!r} (see --list)",
-                file=stream,
-            )
-            return 2
-        spec = scenario_spec(
-            args.scenario, seed=args.seed, small=args.small, large=args.large
-        )
-        seed = args.seed
-    else:
-        print("simulate: pass --scenario, --spec or --list", file=stream)
+    spec = _resolve_spec(args, stream)
+    if spec is None:
         return 2
+    # a spec file carries its seeds inside the document
+    seed = None if args.spec else args.seed
     records = run_scenario(spec)
     print(
         f"scenario {spec.name}: {len(records)} strategy runs",
@@ -301,12 +284,29 @@ def _cmd_simulate(args: argparse.Namespace, stream) -> int:
 
 
 def _resolve_spec(args: argparse.Namespace, stream):
-    """Spec-source resolution shared by serve/loadgen (name or JSON file)."""
-    from repro.sim.scenario import ScenarioSpec, scenario_spec
+    """Spec-source resolution shared by simulate/serve/loadgen.
+
+    Returns the spec named by ``--scenario`` or read from ``--spec``, or
+    ``None`` after printing ``<command>: <reason>`` when there is none:
+    an unknown scenario, an unreadable or non-JSON file, or a document
+    that is not a valid spec.
+    """
+    from repro.sim.scenario import SCENARIO_FAMILIES, ScenarioSpec, scenario_spec
 
     if args.spec:
-        return ScenarioSpec.from_json(Path(args.spec).read_text())
+        try:
+            return ScenarioSpec.from_json(Path(args.spec).read_text())
+        except (OSError, SimulationError) as exc:
+            print(f"{args.command}: {exc}", file=stream)
+            return None
     if args.scenario:
+        if args.scenario not in SCENARIO_FAMILIES:
+            print(
+                f"{args.command}: unknown scenario {args.scenario!r} "
+                "(see repro simulate --list)",
+                file=stream,
+            )
+            return None
         return scenario_spec(
             args.scenario, seed=args.seed, small=args.small, large=args.large
         )

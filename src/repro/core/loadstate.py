@@ -36,29 +36,31 @@ loads are half-integers, so every update -- in any order, including the
 negated rollback replay -- is exact in double precision.  This is what makes
 the bit-for-bit parity guarantees of the property tests possible.
 
-:class:`StackedLoadState` extends the same substrate to *fleets*: K
-strategy lanes replaying the same timeline hold their loads as one
-``(K, n_rows)`` array over one shared :class:`~repro.core.pathmatrix.PathMatrix`
-and one shared scatter-entry cache, so batched charges amortise the
-index computations across all lanes and a topology repair debits/credits
-every lane in a single array surgery.  :meth:`StackedLoadState.lane`
-returns a :class:`LaneState` view exposing the per-lane slice of the
-replay API (``apply_path`` / ``apply_steiner`` / ``apply_pairs`` /
-``congestion`` / ``repair``), bit-for-bit equal to a standalone
-:class:`LoadState` fed the same charges -- the exactness argument above
-is order-free, so lane rows and standalone arrays agree bitwise.
+**One substrate, K lanes.**  :class:`StackedLoadState` owns everything
+that only depends on the topology -- the path matrix, the endpoint,
+denominator and incidence arrays, the path/Steiner scatter-entry caches --
+and the loads of K lanes as one ``(K, n_edges + n_nodes)`` array, carried
+over a topology mutation by one array surgery.  Every lane is a plain
+:class:`LoadState` bound to one row: it keeps a cached 1-D view of that
+row, its own running-max tracker and its own snapshot journal.  A
+standalone ``LoadState(network)`` is lane 0 of a private one-lane stack;
+a fleet of K strategies sits on the K lanes of one shared stack, so
+batched charges (:meth:`StackedLoadState.apply_edge_loads_lanes`) amortise
+the index computations across all lanes.  The exactness argument above is
+order-free, so a lane row is bit-for-bit the row of a standalone state fed
+the same charges.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import kernels
 from repro.errors import AlgorithmError, MutationError
 
-__all__ = ["LoadState", "LoadSnapshot", "StackedLoadState", "LaneState"]
+__all__ = ["LoadState", "LoadSnapshot", "StackedLoadState"]
 
 
 class LoadSnapshot:
@@ -80,209 +82,7 @@ class LoadSnapshot:
         self.epoch = epoch
 
 
-class _SubstrateGeometry:
-    """Topology-derived arrays and scatter-entry caches of a load substrate.
-
-    Shared by :class:`LoadState` (one lane, 1-D fused array) and
-    :class:`StackedLoadState` (K lanes, 2-D fused array): both keep the
-    same endpoint/denominator/incidence arrays and the same per-path /
-    per-terminal-set scatter-entry caches, so the two substrate shapes
-    cannot diverge in how they address the fused load rows.
-    """
-
-    __slots__ = (
-        "network",
-        "rooted",
-        "pm",
-        "n_edges",
-        "n_nodes",
-        "_denom",
-        "_edge_u",
-        "_edge_v",
-        "_node_is_bus",
-        "_bus_nodes",
-        "_inc_indptr",
-        "_inc_edges",
-        "_path_cache",
-        "_steiner_cache",
-        "_topology_epoch",
-    )
-
-    def _init_geometry(self, network, rooted) -> None:
-        self.network = network
-        self.rooted = rooted if rooted is not None else network.rooted()
-        self.pm = self.rooted.path_matrix()
-
-        self.n_edges = network.n_edges
-        self.n_nodes = network.n_nodes
-
-        # endpoint / bus arrays are shared with the path matrix (identical
-        # construction from network.edges; both sides treat them as
-        # immutable), so huge networks hold one int32 copy, not two
-        self._edge_u = self.pm._edge_u
-        self._edge_v = self.pm._edge_v
-        self._node_is_bus = self.pm._bus_mask
-        self._bus_nodes = np.flatnonzero(self.pm._bus_mask)
-
-        self._denom = self._build_denominators(network)
-        self._inc_indptr, self._inc_edges = self._build_incident_csr()
-
-        self._path_cache: dict = {}
-        self._steiner_cache: dict = {}
-        self._topology_epoch = 0
-
-    def _build_denominators(self, network) -> np.ndarray:
-        """Fused relative-load denominators for the current edge/node arrays.
-
-        Edge bandwidths, then doubled bus bandwidths (the node block stores
-        doubled loads).  Processor rows always hold zero load; their
-        denominator is pinned to 1 so the whole-array rescan never divides
-        by a meaningless bandwidth.  Shared by ``__init__`` and
-        :meth:`repair` so the two construction paths cannot diverge.
-        """
-        denom = np.ones(self.n_edges + self.n_nodes, dtype=np.float64)
-        denom[: self.n_edges] = np.asarray(network.edge_bandwidths, dtype=np.float64)
-        bus_bw2 = 2.0 * np.asarray(network.bus_bandwidths, dtype=np.float64)
-        denom[self.n_edges + self._bus_nodes] = bus_bw2[self._bus_nodes]
-        return denom
-
-    def _build_incident_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Incident-edge CSR per node, built from the endpoint arrays.
-
-        ``inc_edges[indptr[v]:indptr[v+1]]`` are the edge ids incident to
-        node ``v``, ascending, with the ``u`` endpoint of an edge listed
-        before its ``v`` endpoint.  Used for per-bus reads and the
-        consistency check; shared by ``__init__`` and :meth:`repair`.
-        """
-        endpoints = np.empty(2 * self.n_edges, dtype=kernels.INDEX_DTYPE)
-        endpoints[0::2] = self._edge_u
-        endpoints[1::2] = self._edge_v
-        eids = np.repeat(np.arange(self.n_edges, dtype=kernels.INDEX_DTYPE), 2)
-        order = np.argsort(endpoints, kind="stable")
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(endpoints, minlength=self.n_nodes))
-        return indptr, eids[order]
-
-    def incident_edge_ids(self, node: int) -> np.ndarray:
-        """Edge ids incident to ``node`` (precomputed CSR slice)."""
-        return self._inc_edges[self._inc_indptr[node] : self._inc_indptr[node + 1]]
-
-    def memory_bytes(self) -> int:
-        """Bytes held by the substrate arrays (the memory audit hook).
-
-        Counts the fused load array, the denominator / incidence arrays and
-        the shared :class:`~repro.core.pathmatrix.PathMatrix` tables, with
-        arrays shared between the two deduplicated by identity.
-        """
-        pm = self.pm
-        arrays = {
-            id(a): a
-            for a in (
-                self._loads,
-                self._denom,
-                self._edge_u,
-                self._edge_v,
-                self._node_is_bus,
-                self._bus_nodes,
-                self._inc_indptr,
-                self._inc_edges,
-                pm._parent,
-                pm._parent_edge,
-                pm._depth,
-                pm._up,
-                pm._rp_indptr,
-                pm._rp_edges,
-                pm._rp_nodes,
-                pm._edge_u,
-                pm._edge_v,
-                pm._bus_mask,
-            )
-        }
-        return int(sum(a.nbytes for a in arrays.values()))
-
-    # ------------------------------------------------------------------ #
-    # scatter entries (shared by all lanes of a substrate)
-    # ------------------------------------------------------------------ #
-    def _make_entry(self, edge_ids: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Precompute the scatter entry of a fixed edge set (path / Steiner).
-
-        The edge ids of a tree path or Steiner tree are distinct, so the
-        fused indices (edges, then touched bus rows) can use plain fancy
-        indexing instead of ``np.add.at``; the entry carries the per-index
-        increments (1 per edge, the endpoint multiplicity per bus -- a bus
-        interior to a path is touched by two of its edges) and the gathered
-        denominators for the one-gather running-max repair.
-        """
-        nodes = np.concatenate([self._edge_u[edge_ids], self._edge_v[edge_ids]])
-        buses = nodes[self._node_is_bus[nodes]]
-        bus_nodes, mult = np.unique(buses, return_counts=True)
-        fused = np.concatenate([edge_ids, self.n_edges + bus_nodes])
-        inc = np.concatenate([np.ones(edge_ids.size), mult.astype(np.float64)])
-        return (edge_ids, fused, inc, self._denom[fused])
-
-    def _path_entry(self, src: int, dst: int) -> Tuple[np.ndarray, ...]:
-        key = (src, dst) if src < dst else (dst, src)
-        entry = self._path_cache.get(key)
-        if entry is None:
-            ids = np.asarray(self.rooted.path_edge_ids(src, dst), dtype=np.int64)
-            entry = self._make_entry(ids)
-            self._path_cache[key] = entry
-        return entry
-
-    def _steiner_entry(self, key: frozenset) -> Tuple[np.ndarray, ...]:
-        entry = self._steiner_cache.get(key)
-        if entry is None:
-            ids = np.asarray(self.rooted.steiner_edge_ids(key), dtype=np.int64)
-            entry = self._make_entry(ids)
-            self._steiner_cache[key] = entry
-        return entry
-
-    def _refresh_cached_denoms(self) -> None:
-        """Re-gather the denominators cached inside every scatter entry."""
-        for cache in (self._path_cache, self._steiner_cache):
-            for key, (ids, fused, inc, _denom) in list(cache.items()):
-                cache[key] = (ids, fused, inc, self._denom[fused])
-
-    def _trial_congestions(self, loads: np.ndarray, columns) -> np.ndarray:
-        """Max relative load of ``loads`` plus each per-edge column.
-
-        ``loads`` is one fused load row; ``columns`` has shape
-        ``(n_edges, k)``.  The bus rows of the columns are folded with the
-        bus-fold kernel; all loads are integers, so the sums are exact and
-        each value is bit-for-bit the rescan of the state the column would
-        produce.
-        """
-        cols = np.ascontiguousarray(columns, dtype=np.float64)
-        if cols.ndim == 1:
-            cols = cols[:, None]
-        n_edges = self.n_edges
-        fused = np.empty((loads.size, cols.shape[1]), dtype=np.float64)
-        fused[:n_edges] = cols
-        bus2 = fused[n_edges:]
-        bus2[:] = 0.0
-        kernels.bus_fold(bus2, self._edge_u, self._edge_v, self._node_is_bus, cols)
-        fused += loads[:, None]
-        return (fused / self._denom[:, None]).max(axis=0)
-
-    # ------------------------------------------------------------------ #
-    # structural helpers shared with the strategies
-    # ------------------------------------------------------------------ #
-    def path_length(self, src: int, dst: int) -> int:
-        """Number of edges on the path ``src -> dst`` (cached)."""
-        if src == dst:
-            return 0
-        return int(self._path_entry(src, dst)[0].size)
-
-    def pair_costs(self, u, v) -> np.ndarray:
-        """Path lengths of the pairs ``u[i] -> v[i]`` (vectorized)."""
-        return self.pm.distances(u, v)
-
-    def nearest_in_set(self, nodes, candidates: Sequence[int]) -> np.ndarray:
-        """Nearest candidate per node (ties to the smallest id), vectorized."""
-        return self.pm.nearest_in_set(np.asarray(nodes, dtype=np.int64), candidates)
-
-
-class LoadState(_SubstrateGeometry):
+class LoadState:
     """Incremental edge/bus load and congestion bookkeeping for one network.
 
     Parameters
@@ -300,9 +100,15 @@ class LoadState(_SubstrateGeometry):
     Relative loads divide the fused array by a fused bandwidth array, which
     turns both the rescan and the per-delta running-max repair into a
     single gather / divide / max.
+
+    The fused array is row ``lane_index`` of :attr:`stack`, the
+    :class:`StackedLoadState` that owns the geometry; a state built with
+    this constructor is lane 0 of a private one-lane stack.
     """
 
     __slots__ = (
+        "stack",
+        "lane_index",
         "_loads",
         "_congestion",
         "_stale",
@@ -311,12 +117,64 @@ class LoadState(_SubstrateGeometry):
     )
 
     def __init__(self, network, rooted=None) -> None:
-        self._init_geometry(network, rooted)
-        self._loads = np.zeros(self.n_edges + self.n_nodes, dtype=np.float64)
+        StackedLoadState.__new__(StackedLoadState)._build(network, rooted, [self])
+
+    def _bind(self, stack: "StackedLoadState", lane_index: int) -> None:
+        """Make this state lane ``lane_index`` of ``stack``, with zero loads."""
+        self.stack = stack
+        self.lane_index = lane_index
+        self._loads = stack._loads[lane_index]
         self._congestion = 0.0
         self._stale = False
         self._journal: List[Tuple[str, object, object]] = []
         self._snapshots: List[LoadSnapshot] = []
+
+    def _rebind(self) -> None:
+        """Follow the stack's repaired rows; the max is rescanned lazily."""
+        self._loads = self.stack._loads[self.lane_index]
+        self._stale = True
+        self._journal.clear()
+
+    # ------------------------------------------------------------------ #
+    # geometry (owned by the stack)
+    # ------------------------------------------------------------------ #
+    @property
+    def network(self):
+        return self.stack.network
+
+    @property
+    def rooted(self):
+        return self.stack.rooted
+
+    @property
+    def pm(self):
+        return self.stack.pm
+
+    @property
+    def n_edges(self) -> int:
+        return self.stack.n_edges
+
+    @property
+    def n_nodes(self) -> int:
+        return self.stack.n_nodes
+
+    def path_length(self, src: int, dst: int) -> int:
+        """Number of edges on the path ``src -> dst`` (cached)."""
+        if src == dst:
+            return 0
+        return int(self.stack._path_entry(src, dst)[0].size)
+
+    def pair_costs(self, u, v) -> np.ndarray:
+        """Path lengths of the pairs ``u[i] -> v[i]`` (vectorized)."""
+        return self.stack.pm.distances(u, v)
+
+    def nearest_in_set(self, nodes, candidates: Sequence[int]) -> np.ndarray:
+        """Nearest candidate per node (ties to the smallest id), vectorized."""
+        return self.stack.pm.nearest_in_set(np.asarray(nodes, dtype=np.int64), candidates)
+
+    def memory_bytes(self) -> int:
+        """Bytes held by the substrate arrays (see :meth:`StackedLoadState.memory_bytes`)."""
+        return self.stack.memory_bytes()
 
     # ------------------------------------------------------------------ #
     # reads
@@ -324,21 +182,21 @@ class LoadState(_SubstrateGeometry):
     @property
     def edge_loads(self) -> np.ndarray:
         """Per-edge accumulated loads (live view of the fused array)."""
-        return self._loads[: self.n_edges]
+        return self._loads[: self.stack.n_edges]
 
     @property
     def bus_loads(self) -> np.ndarray:
         """Per-node bus loads (zero for processors), derived incrementally."""
-        return self._loads[self.n_edges :] * 0.5
+        return self._loads[self.stack.n_edges :] * 0.5
 
     def bus_load(self, bus: int) -> float:
         """Load of one bus (half the incident-edge load sum)."""
-        return float(self._loads[self.n_edges + bus]) * 0.5
+        return float(self._loads[self.stack.n_edges + bus]) * 0.5
 
     @property
     def total_load(self) -> float:
         """Total communication load (sum of all edge loads)."""
-        return float(self._loads[: self.n_edges].sum())
+        return float(self._loads[: self.stack.n_edges].sum())
 
     @property
     def congestion(self) -> float:
@@ -351,14 +209,15 @@ class LoadState(_SubstrateGeometry):
     def _rescan(self) -> float:
         if not self._loads.size:
             return 0.0
-        return kernels.rescan(self._loads, self._denom)
+        return kernels.rescan(self._loads, self.stack._denom)
 
     def verify_bus_loads(self) -> bool:
         """Debug check: incremental bus loads match a CSR recomputation."""
+        stack = self.stack
         edge_loads = self.edge_loads
-        for bus in self._bus_nodes:
-            expected = edge_loads[self.incident_edge_ids(int(bus))].sum()
-            if expected != self._loads[self.n_edges + bus]:
+        for bus in stack._bus_nodes:
+            expected = edge_loads[stack.incident_edge_ids(int(bus))].sum()
+            if expected != self._loads[stack.n_edges + bus]:
                 return False
         return True
 
@@ -388,7 +247,7 @@ class LoadState(_SubstrateGeometry):
         """
         if src == dst:
             return 0
-        entry = self._path_entry(src, dst)
+        entry = self.stack._path_entry(src, dst)
         if amount != 0:
             self._apply_entry(entry, amount)
         return int(entry[0].size)
@@ -399,7 +258,7 @@ class LoadState(_SubstrateGeometry):
         Returns the number of Steiner edges.  Cached per terminal set.
         """
         key = frozenset(int(t) for t in terminals)
-        entry = self._steiner_entry(key)
+        entry = self.stack._steiner_entry(key)
         if entry[0].size and amount != 0:
             self._apply_entry(entry, amount)
         return int(entry[0].size)
@@ -413,14 +272,15 @@ class LoadState(_SubstrateGeometry):
         ids = np.asarray(edge_ids, dtype=np.int64)
         if ids.size == 0 or amount == 0:
             return 0
+        stack = self.stack
         np.add.at(self._loads, ids, amount)
-        nodes = np.concatenate([self._edge_u[ids], self._edge_v[ids]])
-        buses = nodes[self._node_is_bus[nodes]] + self.n_edges
+        nodes = np.concatenate([stack._edge_u[ids], stack._edge_v[ids]])
+        buses = nodes[stack._node_is_bus[nodes]] + stack.n_edges
         np.add.at(self._loads, buses, amount)
         if not self._stale:
             if amount >= 0:
                 touched = np.concatenate([ids, buses])
-                value = float((self._loads[touched] / self._denom[touched]).max())
+                value = float((self._loads[touched] / stack._denom[touched]).max())
                 if value > self._congestion:
                     self._congestion = value
             else:
@@ -436,7 +296,7 @@ class LoadState(_SubstrateGeometry):
         apply is still open (the journal keeps a reference, not a copy).
         """
         vec = np.ascontiguousarray(vector, dtype=np.float64)
-        if vec.shape != (self.n_edges,):
+        if vec.shape != (self.stack.n_edges,):
             raise AlgorithmError("edge-load vector has the wrong shape")
         any_negative = self._scatter_vector(vec, 1.0)
         if not self._stale:
@@ -456,13 +316,14 @@ class LoadState(_SubstrateGeometry):
         Returns whether any entry of ``vec`` fails ``>= 0`` (the staleness
         trigger); the rollback path ignores the flag.
         """
+        stack = self.stack
         return kernels.apply_column(
             self._loads,
             vec,
-            self._edge_u,
-            self._edge_v,
-            self._node_is_bus,
-            self.n_edges,
+            stack._edge_u,
+            stack._edge_v,
+            stack._node_is_bus,
+            stack.n_edges,
             sign,
         )
 
@@ -477,7 +338,7 @@ class LoadState(_SubstrateGeometry):
         w = np.asarray(w, dtype=np.float64)
         if u.size == 0:
             return
-        self.apply_edge_loads(self.pm.pair_edge_loads(u, v, w))
+        self.apply_edge_loads(self.stack.pm.pair_edge_loads(u, v, w))
 
     # ------------------------------------------------------------------ #
     # tentative evaluation
@@ -488,23 +349,47 @@ class LoadState(_SubstrateGeometry):
         ``columns`` has shape ``(n_edges, k)``; the result has shape ``(k,)``.
         Used by search layers to score candidate moves in one pass without
         mutating the state, and by the marked chunk replay to read the
-        congestion at every sample mark of a chunk.
+        congestion at every sample mark of a chunk.  The bus rows of the
+        columns are folded with the bus-fold kernel; all loads are
+        integers, so each value is bit-for-bit the rescan of the state the
+        column would produce.
         """
-        return self._trial_congestions(self._loads, columns)
+        stack = self.stack
+        cols = np.ascontiguousarray(columns, dtype=np.float64)
+        if cols.ndim == 1:
+            cols = cols[:, None]
+        n_edges = stack.n_edges
+        fused = np.empty((self._loads.size, cols.shape[1]), dtype=np.float64)
+        fused[:n_edges] = cols
+        bus2 = fused[n_edges:]
+        bus2[:] = 0.0
+        kernels.bus_fold(bus2, stack._edge_u, stack._edge_v, stack._node_is_bus, cols)
+        fused += self._loads[:, None]
+        return (fused / stack._denom[:, None]).max(axis=0)
 
     # ------------------------------------------------------------------ #
     # snapshot / rollback
     # ------------------------------------------------------------------ #
     def snapshot(self) -> LoadSnapshot:
-        """Start journalling deltas; returns a token for rollback/commit."""
+        """Start journalling deltas; returns a token for rollback/commit.
+
+        Lanes of a stack with more than one lane do not journal (their
+        repair is shared with the other lanes); tentative-move search
+        layers keep a standalone state.
+        """
+        if self.stack.n_lanes > 1:
+            raise AlgorithmError(
+                "fleet lanes do not support snapshot/rollback: use a standalone "
+                "LoadState for tentative-move search"
+            )
         snap = LoadSnapshot(
-            len(self._journal), self._congestion, self._stale, self._topology_epoch
+            len(self._journal), self._congestion, self._stale, self.stack._topology_epoch
         )
         self._snapshots.append(snap)
         return snap
 
     def _check_epoch(self, snap: LoadSnapshot) -> None:
-        if snap.epoch != self._topology_epoch:
+        if snap.epoch != self.stack._topology_epoch:
             raise MutationError(
                 "cannot rollback or commit across a topology mutation: the "
                 "snapshot was taken before repair() changed the network; "
@@ -576,29 +461,320 @@ class LoadState(_SubstrateGeometry):
         ``LoadState(outcome.network)`` charged with
         ``outcome.mapped_edge_loads(old_edge_loads)`` -- removed edges drop
         their loads, new edges start at zero, bus rows and relative-load
-        denominators follow.  The repair itself is vectorized array
-        surgery:
-
-        * bandwidth mutations touch only the affected denominator entries
-          (and refresh the denominators cached in scatter entries);
-        * ``attach_leaf`` appends zero-load rows;
-        * ``detach_leaf`` drops the leaf's rows and debits its switch-edge
-          load from its bus row;
-        * ``split_bus`` debits the moved switch-edge loads from the split
-          bus and credits them to the new bus row.
+        denominators follow.  The repair is one array surgery over the
+        whole stack (:meth:`StackedLoadState.repair`), so every lane of a
+        fleet is carried over at once and the other lanes' calls with the
+        same outcomes are no-ops.
 
         Exactness relies on loads being integer-valued (invariant 2 of
         ARCHITECTURE.md).  Snapshots cannot cross a repair: repairing with
         open snapshots raises :class:`~repro.errors.MutationError` (the
         journalled tentative deltas would otherwise silently become
         permanent), and any later :meth:`rollback` / :meth:`commit` of a
-        snapshot taken before a repair raises it too.  Path/Steiner
-        scatter caches are cleared on structural mutations (they recharge
-        lazily).
+        snapshot taken before a repair raises it too.
+        """
+        self.stack.repair(outcomes)
+
+    # ------------------------------------------------------------------ #
+    def reset(self) -> None:
+        """Zero all loads and drop journal/snapshot state (caches survive)."""
+        if self._snapshots:
+            raise AlgorithmError("cannot reset while snapshots are open")
+        self._loads[:] = 0.0
+        self._congestion = 0.0
+        self._stale = False
+        self._journal.clear()
+
+
+class StackedLoadState:
+    """K load lanes over one shared substrate: the owner of all load storage.
+
+    Replaying the same request/churn timeline under K strategies against K
+    independent substrates pays K times for everything that only depends
+    on the *topology*: scatter-entry construction, bus folds, congestion
+    rescans and churn repairs.  The stack keeps
+
+    * **shared geometry** -- one :class:`~repro.core.pathmatrix.PathMatrix`,
+      one denominator array and one path/Steiner scatter-entry cache for
+      all lanes;
+    * **one fused load array** of shape ``(K, n_edges + n_nodes)``; lane
+      ``k`` is the :class:`LoadState` ``lane(k)`` bound to row ``k``, with
+      its own running-max tracker;
+    * **lane-broadcast batch charges** -- :meth:`apply_edge_loads_lanes`
+      adds one per-edge column per lane in a single batched scatter and
+      one batched rescan;
+    * **one churn repair** -- :meth:`repair` carries *all* lanes over a
+      topology mutation with a single 2-D array surgery (debit/credit per
+      lane row), and is idempotent per
+      :class:`~repro.network.mutation.MutationOutcome` so every lane's
+      strategy can call it through its own view without double-applying.
+
+    All charges are integer-valued (ARCHITECTURE.md invariant 2), so each
+    lane row is bit-for-bit the fused array of a standalone
+    :class:`LoadState` fed the same charges in any order -- the fleet
+    parity tests pin this down.  Lanes of a stack with more than one lane
+    do not journal: their :meth:`LoadState.snapshot` raises.
+    """
+
+    __slots__ = (
+        "network",
+        "rooted",
+        "pm",
+        "n_edges",
+        "n_nodes",
+        "n_lanes",
+        "_loads",
+        "_lanes",
+        "_denom",
+        "_edge_u",
+        "_edge_v",
+        "_node_is_bus",
+        "_bus_nodes",
+        "_inc_indptr",
+        "_inc_edges",
+        "_path_cache",
+        "_steiner_cache",
+        "_topology_epoch",
+    )
+
+    def __init__(self, network, n_lanes: int, rooted=None) -> None:
+        if n_lanes < 1:
+            raise AlgorithmError("a stacked load state needs at least one lane")
+        lanes = [LoadState.__new__(LoadState) for _ in range(int(n_lanes))]
+        self._build(network, rooted, lanes)
+
+    def _build(self, network, rooted, lanes) -> None:
+        """Derive the geometry, allocate one zero row per lane, bind the lanes."""
+        self.network = network
+        self.rooted = rooted if rooted is not None else network.rooted()
+        self.pm = self.rooted.path_matrix()
+
+        self.n_edges = network.n_edges
+        self.n_nodes = network.n_nodes
+
+        # endpoint / bus arrays are shared with the path matrix (identical
+        # construction from network.edges; both sides treat them as
+        # immutable), so huge networks hold one int32 copy, not two
+        self._edge_u = self.pm._edge_u
+        self._edge_v = self.pm._edge_v
+        self._node_is_bus = self.pm._bus_mask
+        self._bus_nodes = np.flatnonzero(self.pm._bus_mask)
+
+        self._denom = self._build_denominators(network)
+        self._inc_indptr, self._inc_edges = self._build_incident_csr()
+
+        self._path_cache: dict = {}
+        self._steiner_cache: dict = {}
+        self._topology_epoch = 0
+
+        self.n_lanes = len(lanes)
+        self._loads = np.zeros(
+            (self.n_lanes, self.n_edges + self.n_nodes), dtype=np.float64
+        )
+        self._lanes = tuple(lanes)
+        for k, lane in enumerate(lanes):
+            lane._bind(self, k)
+
+    @property
+    def lanes(self) -> Tuple[LoadState, ...]:
+        """All lane states, in lane order."""
+        return self._lanes
+
+    def lane(self, index: int) -> LoadState:
+        """The state of one lane (stable across repairs)."""
+        return self._lanes[index]
+
+    # ------------------------------------------------------------------ #
+    # geometry
+    # ------------------------------------------------------------------ #
+    def _build_denominators(self, network) -> np.ndarray:
+        """Fused relative-load denominators for the current edge/node arrays.
+
+        Edge bandwidths, then doubled bus bandwidths (the node block stores
+        doubled loads).  Processor rows always hold zero load; their
+        denominator is pinned to 1 so the whole-array rescan never divides
+        by a meaningless bandwidth.  Shared by construction and
+        :meth:`repair` so the two paths cannot diverge.
+        """
+        denom = np.ones(self.n_edges + self.n_nodes, dtype=np.float64)
+        denom[: self.n_edges] = np.asarray(network.edge_bandwidths, dtype=np.float64)
+        bus_bw2 = 2.0 * np.asarray(network.bus_bandwidths, dtype=np.float64)
+        denom[self.n_edges + self._bus_nodes] = bus_bw2[self._bus_nodes]
+        return denom
+
+    def _build_incident_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Incident-edge CSR per node, built from the endpoint arrays.
+
+        ``inc_edges[indptr[v]:indptr[v+1]]`` are the edge ids incident to
+        node ``v``, ascending, with the ``u`` endpoint of an edge listed
+        before its ``v`` endpoint.  Used for per-bus reads and the
+        consistency check; shared by construction and :meth:`repair`.
+        """
+        endpoints = np.empty(2 * self.n_edges, dtype=kernels.INDEX_DTYPE)
+        endpoints[0::2] = self._edge_u
+        endpoints[1::2] = self._edge_v
+        eids = np.repeat(np.arange(self.n_edges, dtype=kernels.INDEX_DTYPE), 2)
+        order = np.argsort(endpoints, kind="stable")
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(np.bincount(endpoints, minlength=self.n_nodes))
+        return indptr, eids[order]
+
+    def incident_edge_ids(self, node: int) -> np.ndarray:
+        """Edge ids incident to ``node`` (precomputed CSR slice)."""
+        return self._inc_edges[self._inc_indptr[node] : self._inc_indptr[node + 1]]
+
+    def memory_bytes(self) -> int:
+        """Bytes held by the substrate arrays (the memory audit hook).
+
+        Counts the fused load array of all lanes, the denominator /
+        incidence arrays and the shared
+        :class:`~repro.core.pathmatrix.PathMatrix` tables, with arrays
+        shared between the two deduplicated by identity.
+        """
+        pm = self.pm
+        arrays = {
+            id(a): a
+            for a in (
+                self._loads,
+                self._denom,
+                self._edge_u,
+                self._edge_v,
+                self._node_is_bus,
+                self._bus_nodes,
+                self._inc_indptr,
+                self._inc_edges,
+                pm._parent,
+                pm._parent_edge,
+                pm._depth,
+                pm._up,
+                pm._rp_indptr,
+                pm._rp_edges,
+                pm._rp_nodes,
+                pm._edge_u,
+                pm._edge_v,
+                pm._bus_mask,
+            )
+        }
+        return int(sum(a.nbytes for a in arrays.values()))
+
+    # ------------------------------------------------------------------ #
+    # scatter entries (shared by all lanes)
+    # ------------------------------------------------------------------ #
+    def _make_entry(self, edge_ids: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Precompute the scatter entry of a fixed edge set (path / Steiner).
+
+        The edge ids of a tree path or Steiner tree are distinct, so the
+        fused indices (edges, then touched bus rows) can use plain fancy
+        indexing instead of ``np.add.at``; the entry carries the per-index
+        increments (1 per edge, the endpoint multiplicity per bus -- a bus
+        interior to a path is touched by two of its edges) and the gathered
+        denominators for the one-gather running-max repair.
+        """
+        nodes = np.concatenate([self._edge_u[edge_ids], self._edge_v[edge_ids]])
+        buses = nodes[self._node_is_bus[nodes]]
+        bus_nodes, mult = np.unique(buses, return_counts=True)
+        fused = np.concatenate([edge_ids, self.n_edges + bus_nodes])
+        inc = np.concatenate([np.ones(edge_ids.size), mult.astype(np.float64)])
+        return (edge_ids, fused, inc, self._denom[fused])
+
+    def _path_entry(self, src: int, dst: int) -> Tuple[np.ndarray, ...]:
+        key = (src, dst) if src < dst else (dst, src)
+        entry = self._path_cache.get(key)
+        if entry is None:
+            ids = np.asarray(self.rooted.path_edge_ids(src, dst), dtype=np.int64)
+            entry = self._make_entry(ids)
+            self._path_cache[key] = entry
+        return entry
+
+    def _steiner_entry(self, key: frozenset) -> Tuple[np.ndarray, ...]:
+        entry = self._steiner_cache.get(key)
+        if entry is None:
+            ids = np.asarray(self.rooted.steiner_edge_ids(key), dtype=np.int64)
+            entry = self._make_entry(ids)
+            self._steiner_cache[key] = entry
+        return entry
+
+    def _refresh_cached_denoms(self) -> None:
+        """Re-gather the denominators cached inside every scatter entry."""
+        for cache in (self._path_cache, self._steiner_cache):
+            for key, (ids, fused, inc, _denom) in list(cache.items()):
+                cache[key] = (ids, fused, inc, self._denom[fused])
+
+    # ------------------------------------------------------------------ #
+    # lane-broadcast batch application
+    # ------------------------------------------------------------------ #
+    def apply_edge_loads_lanes(self, lanes, columns: np.ndarray) -> None:
+        """Add one per-edge load column per listed lane, batched.
+
+        ``columns`` has shape ``(n_edges, len(lanes))`` (column ``j`` goes
+        to lane ``lanes[j]``); the bus fold and the rescan run once over
+        the whole block, then each lane's tracker takes its row's value.
+        Lane ids must be distinct.  Produces bit-for-bit the loads and
+        congestion of ``LoadState.apply_edge_loads`` called per lane.
+        """
+        lanes = np.ascontiguousarray(lanes, dtype=np.int64)
+        cols = np.ascontiguousarray(columns, dtype=np.float64)
+        if cols.ndim == 1:
+            cols = cols[:, None]
+        if cols.shape != (self.n_edges, lanes.size):
+            raise AlgorithmError("edge-load column block has the wrong shape")
+        if np.unique(lanes).size != lanes.size:
+            # a buffered fancy-index "+=" would drop all but one duplicate
+            raise AlgorithmError("lane ids must be distinct")
+        negative = kernels.apply_columns_lanes(
+            self._loads,
+            lanes,
+            cols,
+            self._edge_u,
+            self._edge_v,
+            self._node_is_bus,
+            self.n_edges,
+        )
+        fresh = []
+        for j, k in enumerate(lanes.tolist()):
+            lane = self._lanes[k]
+            if lane._snapshots:
+                lane._journal.append(("vector", np.ascontiguousarray(cols[:, j]), None))
+            if negative[j]:
+                lane._stale = True
+            elif not lane._stale:
+                fresh.append(k)
+        if fresh:
+            values = kernels.rescan_rows(
+                self._loads, np.asarray(fresh, dtype=np.int64), self._denom
+            )
+            for k, value in zip(fresh, values.tolist()):
+                lane = self._lanes[k]
+                if value > lane._congestion:
+                    lane._congestion = value
+
+    # ------------------------------------------------------------------ #
+    # topology repair
+    # ------------------------------------------------------------------ #
+    def repair(self, outcomes) -> None:
+        """Carry every lane over one or more topology mutations, in place.
+
+        One 2-D array surgery per outcome debits/credits all lane rows at
+        once (see :meth:`LoadState.repair` for the per-lane contract):
+
+        * bandwidth mutations touch only the affected denominator entries
+          (and refresh the denominators cached in scatter entries);
+        * ``attach_leaf`` appends zero-load columns;
+        * ``detach_leaf`` drops the leaf's columns and debits its
+          switch-edge load from its bus column;
+        * ``split_bus`` debits the moved switch-edge loads from the split
+          bus and credits them to the new bus column.
+
+        Path/Steiner scatter caches are cleared on structural mutations
+        (they recharge lazily), and every lane is rebound to its new row.
+        The repair is **idempotent per outcome sequence**: each lane's
+        strategy calls it through its own view with the same outcomes, and
+        once the last outcome's network is the stack's network, later
+        calls are no-ops.
         """
         from repro.network.mutation import MutationOutcome
 
-        if self._snapshots:
+        if any(lane._snapshots for lane in self._lanes):
             raise MutationError(
                 "cannot repair while snapshots are open: roll back or commit "
                 "tentative deltas first (journalled moves would otherwise be "
@@ -606,6 +782,10 @@ class LoadState(_SubstrateGeometry):
             )
         if isinstance(outcomes, MutationOutcome):
             outcomes = [outcomes]
+        else:
+            outcomes = list(outcomes)
+        if outcomes and outcomes[-1].network is self.network:
+            return  # already applied through another lane's view
         for outcome in outcomes:
             self._repair_one(outcome)
 
@@ -634,268 +814,6 @@ class LoadState(_SubstrateGeometry):
             # scatter entries cache their denominator gather: refresh it
             self._refresh_cached_denoms()
         else:
-            edge_block = self._loads[:n_edges_old]
-            node_block = self._loads[n_edges_old:]
-            zero = np.zeros(1, dtype=np.float64)
-            if isinstance(mutation, AttachLeaf):
-                loads = np.concatenate([edge_block, zero, node_block, zero])
-            elif isinstance(mutation, DetachLeaf):
-                node_rows = node_block.copy()
-                node_rows[outcome.touched_bus] -= edge_block[outcome.removed_edge]
-                loads = np.concatenate(
-                    [edge_block[outcome.edge_map >= 0], node_rows[outcome.node_map >= 0]]
-                )
-            elif isinstance(mutation, SplitBus):
-                mids = np.asarray(outcome.moved_edge_ids, dtype=np.int64)
-                moved_sum = float(edge_block[mids].sum())
-                node_rows = node_block.copy()
-                node_rows[outcome.touched_bus] -= moved_sum
-                loads = np.concatenate(
-                    [edge_block, zero, node_rows, np.asarray([moved_sum])]
-                )
-            else:
-                raise MutationError(
-                    f"no repair rule for mutation {type(mutation).__name__}"
-                )
-            self._loads = loads
-            self.n_edges = network.n_edges
-            self.n_nodes = network.n_nodes
-            self._edge_u = new_pm._edge_u
-            self._edge_v = new_pm._edge_v
-            self._node_is_bus = new_pm._bus_mask
-            self._bus_nodes = np.flatnonzero(new_pm._bus_mask)
-
-            self._denom = self._build_denominators(network)
-            self._inc_indptr, self._inc_edges = self._build_incident_csr()
-
-            self._path_cache.clear()
-            self._steiner_cache.clear()
-
-        self.network = network
-        self.rooted = new_rooted
-        self.pm = new_pm
-        self._stale = True
-        self._topology_epoch += 1
-        self._journal.clear()
-
-    # ------------------------------------------------------------------ #
-    def reset(self) -> None:
-        """Zero all loads and drop journal/snapshot state (caches survive)."""
-        if self._snapshots:
-            raise AlgorithmError("cannot reset while snapshots are open")
-        self._loads[:] = 0.0
-        self._congestion = 0.0
-        self._stale = False
-        self._journal.clear()
-
-
-class StackedLoadState(_SubstrateGeometry):
-    """K load lanes over one shared substrate (the fleet-replay engine).
-
-    Replaying the same request/churn timeline under K strategies against K
-    independent :class:`LoadState` instances pays K times for everything
-    that only depends on the *topology*: scatter-entry construction, bus
-    folds, congestion rescans and churn repairs.  The stacked state keeps
-    one fused load array of shape ``(K, n_edges + n_nodes)`` instead, with
-
-    * **shared geometry** -- one :class:`~repro.core.pathmatrix.PathMatrix`,
-      one denominator array and one path/Steiner scatter-entry cache for
-      all lanes;
-    * **lane-broadcast batch charges** -- :meth:`apply_edge_loads_lanes`
-      adds one per-edge column per lane in a single batched scatter (the
-      bus fold and the per-lane running-max repair are vectorized over the
-      lane axis);
-    * **per-lane running-max congestion** -- ``_congestion`` / ``_stale``
-      are arrays over lanes, maintained with exactly the rules of
-      :class:`LoadState`;
-    * **one shared churn repair** -- :meth:`repair` carries *all* lanes
-      over a topology mutation with a single 2-D array surgery
-      (debit/credit per lane row), and is idempotent per
-      :class:`~repro.network.mutation.MutationOutcome` so every lane's
-      strategy can call it through its own view without double-applying.
-
-    All charges are integer-valued (ARCHITECTURE.md invariant 2), so each
-    lane row is bit-for-bit the fused array of a standalone
-    :class:`LoadState` fed the same charges in any order -- the fleet
-    parity tests pin this down.
-
-    Lanes do not journal: :meth:`LaneState.snapshot` raises.  Search
-    layers needing tentative moves keep using :class:`LoadState`.
-    """
-
-    __slots__ = (
-        "n_lanes",
-        "_loads",
-        "_congestion",
-        "_stale",
-        "_lanes",
-        "_applied_outcomes",
-    )
-
-    def __init__(self, network, n_lanes: int, rooted=None) -> None:
-        if n_lanes < 1:
-            raise AlgorithmError("a stacked load state needs at least one lane")
-        self._init_geometry(network, rooted)
-        self.n_lanes = int(n_lanes)
-        self._loads = np.zeros(
-            (self.n_lanes, self.n_edges + self.n_nodes), dtype=np.float64
-        )
-        self._congestion = np.zeros(self.n_lanes, dtype=np.float64)
-        self._stale = np.zeros(self.n_lanes, dtype=bool)
-        self._lanes = tuple(LaneState(self, k) for k in range(self.n_lanes))
-        self._applied_outcomes: Optional[List] = None
-
-    @property
-    def lanes(self) -> Tuple["LaneState", ...]:
-        """All lane views, in lane order."""
-        return self._lanes
-
-    def lane(self, index: int) -> "LaneState":
-        """The view of one lane (stable across repairs)."""
-        return self._lanes[index]
-
-    # ------------------------------------------------------------------ #
-    # per-lane primitives (called through the LaneState views)
-    # ------------------------------------------------------------------ #
-    def _lane_congestion(self, k: int) -> float:
-        if self._stale[k]:
-            row = self._loads[k]
-            self._congestion[k] = kernels.rescan(row, self._denom) if row.size else 0.0
-            self._stale[k] = False
-        return float(self._congestion[k])
-
-    def _apply_entry_lane(self, k: int, entry: Tuple[np.ndarray, ...], amount: float) -> None:
-        _ids, fused, inc, denom = entry
-        row = self._loads[k]
-        row[fused] += inc * amount
-        if not self._stale[k]:
-            if amount >= 0:
-                value = float((row[fused] / denom).max())
-                if value > self._congestion[k]:
-                    self._congestion[k] = value
-            else:
-                self._stale[k] = True
-
-    # ------------------------------------------------------------------ #
-    # lane-broadcast batch application
-    # ------------------------------------------------------------------ #
-    def apply_edge_loads_lanes(self, lanes, columns: np.ndarray) -> None:
-        """Add one per-edge load column per listed lane, batched.
-
-        ``columns`` has shape ``(n_edges, len(lanes))`` (column ``j`` goes
-        to lane ``lanes[j]``); the bus fold and the congestion update run
-        once over the whole block instead of once per lane.  Lane ids must
-        be distinct.  Produces bit-for-bit the loads and congestion of
-        ``LoadState.apply_edge_loads`` called per lane.
-        """
-        lanes = np.ascontiguousarray(lanes, dtype=np.int64)
-        cols = np.ascontiguousarray(columns, dtype=np.float64)
-        if cols.ndim == 1:
-            cols = cols[:, None]
-        if cols.shape != (self.n_edges, lanes.size):
-            raise AlgorithmError("edge-load column block has the wrong shape")
-        if np.unique(lanes).size != lanes.size:
-            # a buffered fancy-index "+=" would drop all but one duplicate
-            raise AlgorithmError("lane ids must be distinct")
-        negative = kernels.apply_columns_lanes(
-            self._loads,
-            lanes,
-            cols,
-            self._edge_u,
-            self._edge_v,
-            self._node_is_bus,
-            self.n_edges,
-        )
-        if negative.any():
-            self._stale[lanes[negative]] = True
-        fresh = lanes[~negative & ~self._stale[lanes]]
-        if fresh.size:
-            values = kernels.rescan_rows(self._loads, fresh, self._denom)
-            self._congestion[fresh] = np.maximum(self._congestion[fresh], values)
-
-    # ------------------------------------------------------------------ #
-    # reads over the whole fleet
-    # ------------------------------------------------------------------ #
-    @property
-    def congestions(self) -> np.ndarray:
-        """Per-lane congestion values (stale lanes rescanned first)."""
-        if self._stale.any():
-            rows = np.flatnonzero(self._stale)
-            self._congestion[rows] = kernels.rescan_rows(
-                self._loads, rows, self._denom
-            )
-            self._stale[rows] = False
-        return self._congestion.copy()
-
-    def verify_bus_loads(self, lane: Optional[int] = None) -> bool:
-        """Debug check: incremental bus loads match a CSR recomputation."""
-        lanes = range(self.n_lanes) if lane is None else (lane,)
-        for k in lanes:
-            row = self._loads[k]
-            for bus in self._bus_nodes:
-                expected = row[self.incident_edge_ids(int(bus))].sum()
-                if expected != row[self.n_edges + bus]:
-                    return False
-        return True
-
-    # ------------------------------------------------------------------ #
-    # shared topology repair
-    # ------------------------------------------------------------------ #
-    def repair(self, outcomes) -> None:
-        """Carry every lane over one or more topology mutations, in place.
-
-        One 2-D array surgery debits/credits all lane rows at once; the
-        per-lane result is bit-for-bit what :meth:`LoadState.repair` does
-        to a standalone state.  The repair is **idempotent per call
-        arguments**: each lane's strategy calls it through its own view
-        with the same outcome (or outcome sequence), only the first call
-        applies the mutations, and every later identical call is a no-op
-        (re-applying would fail anyway -- an outcome's ``old_network`` no
-        longer matches after the first application).  Only the previous
-        call's outcomes are remembered, so no unbounded history of old
-        networks is kept alive.
-        """
-        from repro.network.mutation import MutationOutcome
-
-        if isinstance(outcomes, MutationOutcome):
-            outcomes = [outcomes]
-        else:
-            outcomes = list(outcomes)
-        previous = self._applied_outcomes
-        if (
-            previous is not None
-            and len(previous) == len(outcomes)
-            and all(a is b for a, b in zip(previous, outcomes))
-        ):
-            return
-        for outcome in outcomes:
-            self._repair_one(outcome)
-        self._applied_outcomes = outcomes
-
-    def _repair_one(self, outcome) -> None:
-        from repro.network.mutation import AttachLeaf, DetachLeaf, SplitBus
-
-        if outcome.old_network is not self.network:
-            raise MutationError(
-                "mutation outcome does not apply to this state's network"
-            )
-        new_rooted = self.rooted.repaired(outcome)
-        new_pm = self.pm.repaired(outcome, new_rooted)
-        network = outcome.network
-        n_edges_old = self.n_edges
-        mutation = outcome.mutation
-
-        if not outcome.structural:
-            if outcome.changed_edge is not None:
-                self._denom[outcome.changed_edge] = network.edge_bandwidth(
-                    outcome.changed_edge
-                )
-            if outcome.changed_bus is not None:
-                self._denom[n_edges_old + outcome.changed_bus] = (
-                    2.0 * network.bus_bandwidth(outcome.changed_bus)
-                )
-            self._refresh_cached_denoms()
-        else:
             edge_block = self._loads[:, :n_edges_old]
             node_block = self._loads[:, n_edges_old:]
             zero = np.zeros((self.n_lanes, 1), dtype=np.float64)
@@ -906,7 +824,7 @@ class StackedLoadState(_SubstrateGeometry):
                 node_rows[:, outcome.touched_bus] -= edge_block[:, outcome.removed_edge]
                 # the masked column gathers come out F-ordered (and
                 # concatenate preserves that when every input is F); the
-                # lane kernels need a C-ordered stack
+                # lane row views and kernels need a C-ordered stack
                 loads = np.ascontiguousarray(
                     np.concatenate(
                         [
@@ -945,153 +863,6 @@ class StackedLoadState(_SubstrateGeometry):
         self.network = network
         self.rooted = new_rooted
         self.pm = new_pm
-        self._stale[:] = True
         self._topology_epoch += 1
-
-
-class LaneState:
-    """One lane of a :class:`StackedLoadState`, shaped like a :class:`LoadState`.
-
-    Exposes the replay slice of the :class:`LoadState` API (charges, reads,
-    repair) against the lane's row of the shared fused array, so a
-    strategy's :class:`~repro.dynamic.online.OnlineCostAccount` can sit on
-    a fleet lane without knowing it.  Journalling (snapshot / rollback /
-    commit) is not supported on lanes -- tentative-move search layers keep
-    their own standalone :class:`LoadState`.
-    """
-
-    __slots__ = ("parent", "lane_index")
-
-    def __init__(self, parent: StackedLoadState, lane_index: int) -> None:
-        self.parent = parent
-        self.lane_index = int(lane_index)
-
-    # -- geometry proxies ---------------------------------------------- #
-    @property
-    def network(self):
-        return self.parent.network
-
-    @property
-    def rooted(self):
-        return self.parent.rooted
-
-    @property
-    def pm(self):
-        return self.parent.pm
-
-    @property
-    def n_edges(self) -> int:
-        return self.parent.n_edges
-
-    @property
-    def n_nodes(self) -> int:
-        return self.parent.n_nodes
-
-    # -- reads ---------------------------------------------------------- #
-    @property
-    def edge_loads(self) -> np.ndarray:
-        """Per-edge accumulated loads (live view of the lane row)."""
-        return self.parent._loads[self.lane_index, : self.parent.n_edges]
-
-    @property
-    def bus_loads(self) -> np.ndarray:
-        """Per-node bus loads (zero for processors), derived incrementally."""
-        return self.parent._loads[self.lane_index, self.parent.n_edges :] * 0.5
-
-    def bus_load(self, bus: int) -> float:
-        """Load of one bus (half the incident-edge load sum)."""
-        return float(self.parent._loads[self.lane_index, self.parent.n_edges + bus]) * 0.5
-
-    def incident_edge_ids(self, node: int) -> np.ndarray:
-        """Edge ids incident to ``node`` (shared CSR slice)."""
-        return self.parent.incident_edge_ids(node)
-
-    @property
-    def total_load(self) -> float:
-        """Total communication load (sum of the lane's edge loads)."""
-        return float(self.edge_loads.sum())
-
-    @property
-    def congestion(self) -> float:
-        """Max relative load over edges and buses (lazily repaired)."""
-        return self.parent._lane_congestion(self.lane_index)
-
-    def verify_bus_loads(self) -> bool:
-        """Debug check: the lane's bus rows match a CSR recomputation."""
-        return self.parent.verify_bus_loads(self.lane_index)
-
-    def trial_congestions(self, columns: np.ndarray) -> np.ndarray:
-        """Congestion of (lane + column) for every column, read-only."""
-        return self.parent._trial_congestions(
-            self.parent._loads[self.lane_index], columns
-        )
-
-    # -- delta application ---------------------------------------------- #
-    def apply_path(self, src: int, dst: int, amount: float = 1.0) -> int:
-        """Charge ``amount`` on every edge of the tree path ``src -> dst``."""
-        if src == dst:
-            return 0
-        entry = self.parent._path_entry(src, dst)
-        if amount != 0:
-            self.parent._apply_entry_lane(self.lane_index, entry, amount)
-        return int(entry[0].size)
-
-    def apply_steiner(self, terminals: Iterable[int], amount: float = 1.0) -> int:
-        """Charge ``amount`` on every edge of the Steiner tree of ``terminals``."""
-        key = frozenset(int(t) for t in terminals)
-        entry = self.parent._steiner_entry(key)
-        if entry[0].size and amount != 0:
-            self.parent._apply_entry_lane(self.lane_index, entry, amount)
-        return int(entry[0].size)
-
-    def apply_edge_loads(self, vector: np.ndarray) -> None:
-        """Add a whole per-edge load vector to this lane."""
-        vec = np.asarray(vector, dtype=np.float64)
-        if vec.shape != (self.parent.n_edges,):
-            raise AlgorithmError("edge-load vector has the wrong shape")
-        self.parent.apply_edge_loads_lanes([self.lane_index], vec[:, None])
-
-    def apply_pairs(self, u, v, w) -> None:
-        """Charge weighted request pairs ``u[i] -> v[i]`` in one batch."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
-        if u.size == 0:
-            return
-        self.apply_edge_loads(self.parent.pm.pair_edge_loads(u, v, w))
-
-    # -- structural helpers --------------------------------------------- #
-    def path_length(self, src: int, dst: int) -> int:
-        """Number of edges on the path ``src -> dst`` (shared cache)."""
-        return self.parent.path_length(src, dst)
-
-    def pair_costs(self, u, v) -> np.ndarray:
-        """Path lengths of the pairs ``u[i] -> v[i]`` (vectorized)."""
-        return self.parent.pair_costs(u, v)
-
-    def nearest_in_set(self, nodes, candidates: Sequence[int]) -> np.ndarray:
-        """Nearest candidate per node (ties to the smallest id), vectorized."""
-        return self.parent.nearest_in_set(nodes, candidates)
-
-    def load_profile(self):
-        """Materialise the lane's current state as a static ``LoadProfile``."""
-        from repro.core.congestion import LoadProfile
-
-        return LoadProfile(
-            network=self.parent.network,
-            edge_loads=self.edge_loads.copy(),
-            bus_loads=self.bus_loads,
-        )
-
-    # -- repair ---------------------------------------------------------- #
-    def repair(self, outcomes) -> None:
-        """Carry the whole stacked substrate over a mutation (idempotent)."""
-        self.parent.repair(outcomes)
-
-    # -- unsupported LoadState surface ----------------------------------- #
-    def snapshot(self):
-        """Lanes do not journal; tentative-move search needs a LoadState."""
-        raise AlgorithmError(
-            "fleet lanes do not support snapshot/rollback: use a standalone "
-            "LoadState for tentative-move search"
-        )
+        for lane in self._lanes:
+            lane._rebind()

@@ -472,7 +472,7 @@ def _charge_columns(states, columns: np.ndarray, prior) -> np.ndarray:
     if len(states) == 1:
         states[0].apply_edge_loads(totals[:, 0])
     else:
-        states[0].parent.apply_edge_loads_lanes(
+        states[0].stack.apply_edge_loads_lanes(
             [state.lane_index for state in states], totals
         )
     return out
@@ -644,15 +644,14 @@ class StaticPlacementManager(OnlineStrategy):
     def _nearest(self, proc: int, obj: int) -> int:
         return int(self._nearest_table(obj)[proc])
 
-    def _steiner_edge_ids_for(self, obj: int, entry_source) -> np.ndarray:
+    def _steiner_edge_ids_for(self, obj: int) -> np.ndarray:
         """Edge ids of one object's write-broadcast Steiner tree (cached).
 
-        ``entry_source`` is any substrate exposing ``_steiner_entry`` (the
-        manager's own state, or the shared stacked state in fleet mode);
-        the ids only depend on the topology and the holder set, so the
-        per-object cache survives substrate swaps and bandwidth mutations
-        and is cleared with the other holder-derived caches on structural
-        repair.
+        The scatter entry comes from the stack that owns the account's
+        state (shared by every lane of a fleet); the ids only depend on
+        the topology and the holder set, so the per-object cache survives
+        bandwidth mutations and is cleared with the other holder-derived
+        caches on structural repair.
         """
         edge_ids = self._steiner_ids_cache.get(obj)
         if edge_ids is None:
@@ -661,7 +660,7 @@ class StaticPlacementManager(OnlineStrategy):
                 edge_ids = np.empty(0, dtype=np.int64)
             else:
                 key = frozenset(int(t) for t in terminals)
-                edge_ids = entry_source._steiner_entry(key)[0]
+                edge_ids = self.account.state.stack._steiner_entry(key)[0]
             self._steiner_ids_cache[obj] = edge_ids
         return edge_ids
 
@@ -761,8 +760,9 @@ class StaticPlacementManager(OnlineStrategy):
     def _serve_lanes(cls, managers, sequence, start, stop, marks) -> np.ndarray:
         """One marked pass over ``sequence[start:stop]`` for K managers.
 
-        The managers' states are one standalone state (K = 1) or lanes of
-        one :class:`~repro.core.loadstate.StackedLoadState`.  Keys are
+        The managers' states are :class:`~repro.core.loadstate.LoadState`
+        lanes of one :class:`~repro.core.loadstate.StackedLoadState` (a
+        standalone state is lane 0 of its own one-lane stack).  Keys are
         ``(segment, processor, object)``: every key's nearest copy is
         gathered per lane from the cached per-object tables, one LCA pass
         and one node-delta scatter fill a ``(n_nodes, segments × K)``
@@ -808,10 +808,9 @@ class StaticPlacementManager(OnlineStrategy):
         if written.size:
             # every lane's write broadcasts in one scatter: record (k, r)
             # is lane k's copy of write key r
-            entry_source = getattr(states[0], "parent", states[0])
             wobjs, which = np.unique(written, return_inverse=True)
             ids = [
-                manager._steiner_edge_ids_for(int(obj), entry_source)
+                manager._steiner_edge_ids_for(int(obj))
                 for manager in managers
                 for obj in wobjs
             ]
@@ -849,15 +848,12 @@ class StaticPlacementManager(OnlineStrategy):
         All charged quantities are integer request counts, so every lane's
         loads, cost units and mark congestions are bit-for-bit those of
         calling the member's :meth:`serve_chunk` on its own.  Falls back to
-        exactly that when the managers' accounts do not sit on lanes of one
-        stacked state.
+        exactly that when the managers' states are not lanes of one stack.
         """
-        from repro.core.loadstate import LaneState
-
         states = [getattr(m.account, "state", None) for m in managers]
         stacked = (
-            all(isinstance(s, LaneState) for s in states)
-            and len({id(s.parent) for s in states}) == 1
+            all(isinstance(s, LoadState) for s in states)
+            and len({id(s.stack) for s in states}) == 1
         )
         if not stacked:
             return np.column_stack([
@@ -1253,7 +1249,6 @@ class EdgeCounterManager(OnlineStrategy):
         chunk_procs, chunk_writes = chunk
         tables = self._tables_by_holders
         state = self.account.state
-        entry_source = getattr(state, "parent", state)
         n_nodes = np.int64(self.network.n_nodes)
         u_parts: List[np.ndarray] = []
         v_parts: List[np.ndarray] = []
@@ -1271,7 +1266,7 @@ class EdgeCounterManager(OnlineStrategy):
             else:
                 v_parts.append(tables[holders][ep])
                 if wc:
-                    ids = entry_source._steiner_entry(frozenset(holders))[0]
+                    ids = state.stack._steiner_entry(frozenset(holders))[0]
                     if ids.size:
                         write_ids.append(ids)
                         write_counts.append(wc)

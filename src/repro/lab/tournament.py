@@ -14,7 +14,8 @@ byte-identical for any ``--parallel``), and ``repro lab report --suite
 tournament`` prints the leaderboard derived from the stored artifacts.
 
 The fleet engine makes this shape cheap: all six lanes of one tournament
-entry replay in a single timeline pass over a shared
+entry replay in a single timeline pass, each strategy's account a
+:class:`~repro.core.loadstate.LoadState` lane of one shared
 :class:`~repro.core.loadstate.StackedLoadState`, with the adaptive lanes
 sharing one chunk decode and nearest-table build through
 ``EdgeCounterManager.serve_chunk_fleet``.

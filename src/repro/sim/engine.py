@@ -100,24 +100,34 @@ class _ReferenceTracker:
     Events address processors by *reference id*: original node ids plus
     one fresh id per attach in trace order.  Departed (or not-yet-arrived)
     references map to ``-1`` and their requests drop.  One implementation
-    serves both :meth:`SimulationEngine.run` and
-    :meth:`SimulationEngine.run_fleet`, so the two paths cannot drift in
-    churn reference semantics (invariant 7 depends on that).
+    serves :meth:`SimulationEngine.run`, :meth:`SimulationEngine.run_fleet`
+    and :class:`EngineStream`, so the three paths cannot drift in churn
+    reference semantics (invariants 7 and 10 depend on that).  Given the
+    churn ``trace``, the mapping is presized to the whole reference
+    universe (attaches still to come map to ``-1``); without one -- a
+    stream does not know its future -- it grows by one id per attach.
     """
 
-    __slots__ = ("current_of_ref", "n_refs", "_next_attach")
+    __slots__ = ("current_of_ref", "_next_attach")
 
-    def __init__(self, base_n: int, trace: ChurnTrace) -> None:
-        self.n_refs = base_n + trace.attach_count()
-        self.current_of_ref = np.full(self.n_refs, -1, dtype=np.int64)
+    def __init__(self, base_n: int, trace: Optional[ChurnTrace] = None) -> None:
+        n_refs = base_n + (trace.attach_count() if trace is not None else 0)
+        self.current_of_ref = np.full(n_refs, -1, dtype=np.int64)
         self.current_of_ref[:base_n] = np.arange(base_n, dtype=np.int64)
         self._next_attach = base_n
+
+    @property
+    def n_refs(self) -> int:
+        """Size of the reference-id universe."""
+        return len(self.current_of_ref)
 
     def apply_outcome(self, mutation, outcome: MutationOutcome) -> None:
         """Renumber live references through one applied mutation."""
         alive = self.current_of_ref >= 0
         self.current_of_ref[alive] = outcome.node_map[self.current_of_ref[alive]]
         if isinstance(mutation, AttachLeaf):
+            if self._next_attach == len(self.current_of_ref):  # not presized
+                self.current_of_ref = np.append(self.current_of_ref, np.int64(-1))
             self.current_of_ref[self._next_attach] = int(outcome.new_node)
             self._next_attach += 1
 
@@ -375,9 +385,10 @@ class SimulationEngine(_EngineView):
         request/churn timeline under a whole strategy family -- pays K
         full passes when run strategy by strategy.  ``run_fleet`` decodes
         the timeline **once**, rebinds every strategy's (fresh) cost
-        account onto one lane of a shared
-        :class:`~repro.core.loadstate.StackedLoadState`, and serves each
-        span for all K strategies against the stacked substrate:
+        account onto one lane -- a plain
+        :class:`~repro.core.loadstate.LoadState` bound to one row -- of a
+        shared :class:`~repro.core.loadstate.StackedLoadState`, and serves
+        each span for all K strategies against the stacked substrate:
 
         * strategies whose class implements the ``serve_chunk_fleet``
           group hook (see :func:`~repro.sim.protocol.fleet_groups`) share
@@ -610,9 +621,9 @@ class EngineStream(_EngineView):
         self.dropped = 0
         self.outcomes: List[MutationOutcome] = []
         self._base_n = strategy.network.n_nodes
-        # identity until the first mutation; then the growable
+        # identity until the first mutation; then the growing
         # reference-id -> current-node mapping (one fresh id per attach)
-        self._current_of_ref: Optional[np.ndarray] = None
+        self._tracker: Optional[_ReferenceTracker] = None
         self._pending_mutations: List[object] = []
         self._finished = False
         for sink in self.sinks:
@@ -621,9 +632,9 @@ class EngineStream(_EngineView):
     @property
     def n_refs(self) -> int:
         """Size of the current reference-id universe."""
-        if self._current_of_ref is None:
+        if self._tracker is None:
             return self._base_n
-        return len(self._current_of_ref)
+        return self._tracker.n_refs
 
     def _check_open(self) -> None:
         if self._finished:
@@ -660,8 +671,8 @@ class EngineStream(_EngineView):
             network = self.strategy.network
             uniq = np.unique(procs)
             current = (
-                uniq if self._current_of_ref is None
-                else self._current_of_ref[uniq]
+                uniq if self._tracker is None
+                else self._tracker.current_of_ref[uniq]
             )
             for ref, node in zip(uniq, current):
                 if node >= 0 and not network.is_processor(int(node)):
@@ -696,8 +707,8 @@ class EngineStream(_EngineView):
         if self.chunk_size is not None:
             grid = self.chunk_size
             edges[1:1] = range((start // grid + 1) * grid, stop, grid)
-        remap = None if self._current_of_ref is None else (
-            self._current_of_ref, self.n_refs
+        remap = None if self._tracker is None else (
+            self._tracker.current_of_ref, self._tracker.n_refs
         )
         batch_served = batch_dropped = 0
         for a, b in zip(edges, edges[1:]):
@@ -730,16 +741,9 @@ class EngineStream(_EngineView):
             outcome = apply_mutation(self.strategy.network, mutation)
             self.strategy.apply_mutation(outcome)
             self.outcomes.append(outcome)
-            if self._current_of_ref is None:
-                self._current_of_ref = np.arange(self._base_n, dtype=np.int64)
-            alive = self._current_of_ref >= 0
-            self._current_of_ref[alive] = outcome.node_map[
-                self._current_of_ref[alive]
-            ]
-            if isinstance(mutation, AttachLeaf):
-                self._current_of_ref = np.append(
-                    self._current_of_ref, np.int64(outcome.new_node)
-                )
+            if self._tracker is None:
+                self._tracker = _ReferenceTracker(self._base_n)
+            self._tracker.apply_outcome(mutation, outcome)
             for sink in self.sinks:
                 sink.on_mutation(self, outcome)
 

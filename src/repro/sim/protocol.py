@@ -8,7 +8,8 @@ strategies plug in here without touching the kernel.
 **Fleet capability.**  A strategy *class* may additionally expose a
 ``serve_chunk_fleet(members, sequence, start, stop, marks=())``
 classmethod: given several instances of that class whose cost accounts
-sit on lanes of one shared :class:`~repro.core.loadstate.StackedLoadState`,
+are lanes of one shared :class:`~repro.core.loadstate.StackedLoadState`
+(each a plain :class:`~repro.core.loadstate.LoadState` bound to one row),
 it serves the chunk for all of them in one batched pass (shared
 aggregation and edge-batch gathers, per-lane placement decisions) and
 returns the congestion at every mark per member, shape

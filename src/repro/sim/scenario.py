@@ -233,10 +233,19 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, document: Mapping) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict` (accepts lists where tuples live)."""
+        """Inverse of :meth:`to_dict` (accepts lists where tuples live).
+
+        Raises :class:`~repro.errors.SimulationError` naming the problem
+        when the document is not a spec object or lacks a required key.
+        """
+        if not isinstance(document, Mapping):
+            raise SimulationError("a scenario spec must be a JSON object")
         fmt = document.get("format", SPEC_FORMAT)
         if fmt != SPEC_FORMAT:
             raise SimulationError(f"unknown scenario-spec format {fmt!r}")
+        for key in ("name", "network", "workload"):
+            if key not in document:
+                raise SimulationError(f"scenario spec lacks the required key {key!r}")
         sweep = document.get("sweep")
         kwargs = {}
         # absent keys fall back to the dataclass defaults, but an explicit
@@ -256,7 +265,11 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
+        try:
+            document = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SimulationError(f"scenario spec is not valid JSON: {exc}") from None
+        return cls.from_dict(document)
 
     def canonical_json(self) -> str:
         """The canonical (hashable) encoding of the spec.

@@ -13,7 +13,9 @@ every mutation the repaired substrate must equal a from-scratch rebuild:
   (CSR root-path incidence, binary-lifting table, endpoint arrays);
 * the repaired ``LoadState`` matches a fresh state charged with the
   surviving edge loads (fused loads, denominators, congestion, incident
-  CSR) and its nearest-copy resolution agrees with the fresh path matrix;
+  CSR) and its nearest-copy resolution agrees with the fresh path matrix
+  -- for a standalone state and for every lane of a three-lane stack,
+  each lane charged differently and repaired through its own view;
 * snapshot/rollback round-trips still work on the repaired state, while
   rolling back across a mutation raises a clear ``ReproError``.
 
@@ -26,7 +28,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.loadstate import LoadState
+from repro.core.loadstate import LoadState, StackedLoadState
 from repro.core.pathmatrix import PathMatrix
 from repro.errors import MutationError, ReproError
 from repro.network.builders import balanced_tree, random_tree
@@ -90,40 +92,46 @@ def assert_loadstate_equals_rebuild(state, net, fresh_rooted, ground):
     rebuilt = LoadState(net, rooted=fresh_rooted)
     rebuilt.apply_edge_loads(ground)
     assert np.array_equal(state._loads, rebuilt._loads)
-    assert np.array_equal(state._denom, rebuilt._denom)
+    assert np.array_equal(state.stack._denom, rebuilt.stack._denom)
     assert state.congestion == rebuilt.congestion
-    assert np.array_equal(state._inc_edges, rebuilt._inc_edges)
-    assert np.array_equal(state._inc_indptr, rebuilt._inc_indptr)
+    assert np.array_equal(state.stack._inc_edges, rebuilt.stack._inc_edges)
+    assert np.array_equal(state.stack._inc_indptr, rebuilt.stack._inc_indptr)
     assert state.verify_bus_loads()
 
 
 class TestChurnDifferential:
     """Seeded mutation/request interleavings, checked against rebuilds."""
 
+    @pytest.mark.parametrize("n_lanes", (1, 3))
     @pytest.mark.parametrize("seed", _seed_matrix())
-    def test_repair_equals_rebuild(self, seed):
+    def test_repair_equals_rebuild(self, seed, n_lanes):
+        """Every lane row equals its own rebuild (one lane: a standalone state)."""
         rng = np.random.default_rng(seed)
         net = random_tree(
             int(rng.integers(2, 7)), int(rng.integers(4, 11)), seed=seed
         )
-        state = LoadState(net)
-        ground = np.zeros(net.n_edges)
+        lanes = [LoadState(net)] if n_lanes == 1 else StackedLoadState(net, n_lanes).lanes
+        state = lanes[0]
+        grounds = [np.zeros(net.n_edges) for _ in lanes]
         fresh_rooted, fresh_pm = fresh_substrate(net)
         procs = list(net.processors)
-        charge_random_paths(state, ground, fresh_rooted, procs, rng, 24)
+        for lane, ground in zip(lanes, grounds):
+            charge_random_paths(lane, ground, fresh_rooted, procs, rng, 24)
 
         for _ in range(10):
             mutation = random_valid_mutation(net, rng)
             outcome = apply_mutation(net, mutation)
-            state.repair(outcome)
+            for lane in lanes:  # through every view: the stack repairs once
+                lane.repair(outcome)
             net = outcome.network
-            ground = outcome.mapped_edge_loads(ground)
+            grounds = [outcome.mapped_edge_loads(ground) for ground in grounds]
             procs = list(net.processors)
 
             fresh_rooted, fresh_pm = fresh_substrate(net)
             assert_rooted_equals_fresh(state.rooted, fresh_rooted)
             assert_pathmatrix_equals_fresh(state.pm, fresh_pm)
-            assert_loadstate_equals_rebuild(state, net, fresh_rooted, ground)
+            for lane, ground in zip(lanes, grounds):
+                assert_loadstate_equals_rebuild(lane, net, fresh_rooted, ground)
 
             # nearest-copy tables resolve identically on the repaired matrix
             candidates = sorted(
@@ -136,10 +144,13 @@ class TestChurnDifferential:
             )
 
             # keep replaying requests on the repaired substrate
-            charge_random_paths(state, ground, fresh_rooted, procs, rng, 10)
+            for lane, ground in zip(lanes, grounds):
+                charge_random_paths(lane, ground, fresh_rooted, procs, rng, 10)
 
-        # the final interleaved state still equals a rebuild
-        assert_loadstate_equals_rebuild(state, net, fresh_substrate(net)[0], ground)
+        # the final interleaved state of every lane still equals a rebuild
+        fresh_rooted = fresh_substrate(net)[0]
+        for lane, ground in zip(lanes, grounds):
+            assert_loadstate_equals_rebuild(lane, net, fresh_rooted, ground)
 
     def test_split_repair_with_root_inside_moved_subtree(self):
         """Regression: a view rooted inside the moved subtree must rebuild.

@@ -37,7 +37,7 @@ from repro.core.baselines import (
     owner_placement,
     random_placement,
 )
-from repro.core.loadstate import LaneState
+from repro.core.loadstate import LoadState, StackedLoadState
 from repro.dynamic.evaluate import first_touch_manager, hindsight_static_manager
 from repro.dynamic.online import (
     EdgeCounterManager,
@@ -209,15 +209,19 @@ def test_fleet_respects_chunk_grid(chunk_size):
 
 
 def test_fleet_lanes_share_one_substrate():
-    """All fleet accounts sit on lanes of one stacked state."""
+    """All fleet accounts are LoadState lanes of one stacked state."""
     net, pattern, seq = build_instance(0)
     factories = fleet_factories(net, pattern, seq, 0)
     strategies = [factory() for factory in factories]
     SimulationEngine.run_fleet(strategies, seq)
     states = [s.account.state for s in strategies]
-    assert all(isinstance(state, LaneState) for state in states)
-    assert len({id(state.parent) for state in states}) == 1
+    assert all(type(state) is LoadState for state in states)
+    stack = states[0].stack
+    assert isinstance(stack, StackedLoadState)
+    assert stack.lanes == tuple(states)
     assert [state.lane_index for state in states] == list(range(len(states)))
+    for state in states:
+        assert state._loads.base is stack._loads
     with pytest.raises(AlgorithmError):
         states[0].snapshot()
 
@@ -348,7 +352,6 @@ def test_adaptive_only_fleet_under_churn(seed, churn):
 
 def test_stacked_repair_is_idempotent_for_outcome_sequences():
     """Every lane may replay the same outcome *sequence* through its view."""
-    from repro.core.loadstate import LoadState, StackedLoadState
     from repro.network.mutation import apply_mutation
     from repro.workload.churn import random_valid_mutation
 

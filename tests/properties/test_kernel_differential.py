@@ -377,6 +377,8 @@ class TestSubstrateEndToEnd:
                 stacked = StackedLoadState(net, n_lanes)
                 for lanes, cols in zip(lane_sets, columns):
                     stacked.apply_edge_loads_lanes(lanes, cols[:, : lanes.size])
-                outputs[name] = (stacked._loads.copy(), stacked.congestions)
+                outputs[name] = (
+                    stacked._loads.copy(), [lane.congestion for lane in stacked.lanes]
+                )
         assert np.array_equal(outputs["numpy"][0], outputs[backend][0])
         assert np.array_equal(outputs["numpy"][1], outputs[backend][1])

@@ -78,6 +78,19 @@ class TestSpecRoundTrip:
             ScenarioSpec.from_dict({"format": "bogus/v9", "name": "x",
                                     "network": {}, "workload": {}})
 
+    @pytest.mark.parametrize("key", ("name", "network", "workload"))
+    def test_missing_required_key_is_named(self, key):
+        document = scenario_spec("zipf", small=True).to_dict()
+        del document[key]
+        with pytest.raises(SimulationError, match=repr(key)):
+            ScenarioSpec.from_dict(document)
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(SimulationError, match="JSON object"):
+            ScenarioSpec.from_json("[]")
+        with pytest.raises(SimulationError, match="not valid JSON"):
+            ScenarioSpec.from_json("{")
+
     def test_unknown_component_keys_rejected(self):
         spec = ScenarioSpec(
             name="broken",

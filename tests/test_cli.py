@@ -475,6 +475,49 @@ class TestServeCommands:
         assert "--scenario" in text
 
 
+SPEC_COMMANDS = ("simulate", "serve", "loadgen")
+
+
+class TestSpecInputErrors:
+    """A bad spec source is a one-line ``<command>: ...`` error, exit 2."""
+
+    @pytest.mark.parametrize("command", ("serve", "loadgen"))
+    def test_unknown_scenario(self, command):
+        # simulate's own unknown-scenario error is in TestChurnScenarios
+        code, text = run_cli([command, "--scenario", "nope"])
+        assert code == 2
+        assert text.startswith(f"{command}: unknown scenario 'nope'")
+
+    @pytest.mark.parametrize("key", ("name", "network", "workload"))
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_spec_without_required_key(self, tmp_path, command, key):
+        from repro.sim.scenario import scenario_spec
+
+        document = scenario_spec("zipf", small=True).to_dict()
+        del document[key]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document))
+        code, text = run_cli([command, "--spec", str(path)])
+        assert code == 2
+        assert text.startswith(f"{command}: ")
+        assert repr(key) in text
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_spec_that_is_not_json(self, tmp_path, command):
+        path = tmp_path / "spec.json"
+        path.write_text("not json {")
+        code, text = run_cli([command, "--spec", str(path)])
+        assert code == 2
+        assert text.startswith(f"{command}: scenario spec is not valid JSON")
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_missing_spec_file(self, tmp_path, command):
+        code, text = run_cli([command, "--spec", str(tmp_path / "absent.json")])
+        assert code == 2
+        assert text.startswith(f"{command}: ")
+        assert "absent.json" in text
+
+
 class TestLab:
     """The `repro lab` command group: run-missing, status, report, gc."""
 
