@@ -13,10 +13,13 @@ mutation storm processed both ways:
   mutation, recharged with the surviving edge loads.
 
 Both produce bit-for-bit identical substrate state (asserted here and in
-``tests/properties/test_churn_differential.py``).  The gate at the bottom
-enforces the headline number: on the largest network the repair path must
+``tests/properties/test_churn_differential.py``).  The gates at the bottom
+enforce the headline numbers: on the largest network the repair path must
 process the storm at least 5x faster than from-scratch rebuilds (measured
-~30x on the reference machine).
+~30x on the reference machine), and applying the storm to the network
+itself (array surgery in ``apply_mutation``) must be at least 5x faster
+than decoding and validating each outcome network from its dict (measured
+~20x on a 2-vCPU machine).
 """
 
 import os
@@ -29,6 +32,7 @@ from repro.core.loadstate import LoadState
 from repro.network.builders import balanced_tree
 from repro.network.mutation import apply_mutation
 from repro.network.rooted import RootedTree
+from repro.network.serialization import network_from_dict, network_to_dict
 from repro.workload.churn import mutation_storm
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
@@ -191,4 +195,40 @@ def test_repair_speedup_over_rebuild():
     assert speedup >= 5.0, (
         f"incremental repair only {speedup:.1f}x faster than from-scratch "
         f"rebuilds (gate: 5x)"
+    )
+
+
+def test_apply_mutation_speedup_over_network_rebuild():
+    """Gate the array-native network: mutate by surgery, not by rebuild.
+
+    On the largest scenario, applying the storm with ``apply_mutation``
+    must be at least 5x faster than building every outcome network again
+    from its dict (decode plus whole-tree validation).  Same-process
+    ratio, best-of-3 per side, so machine speed cancels.
+    """
+    net, outcomes, _loads0, _pairs = churn_scenario("large")
+    mutations = [outcome.mutation for outcome in outcomes]
+    documents = [network_to_dict(outcome.network) for outcome in outcomes]
+    apply_time = rebuild_time = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        cur = net
+        for mutation in mutations:
+            cur = apply_mutation(cur, mutation).network
+        t1 = time.perf_counter()
+        rebuilt = [network_from_dict(doc) for doc in documents]
+        t2 = time.perf_counter()
+        apply_time = min(apply_time, t1 - t0)
+        rebuild_time = min(rebuild_time, t2 - t1)
+
+    assert cur == rebuilt[-1] and cur.names == rebuilt[-1].names
+    speedup = rebuild_time / max(apply_time, 1e-12)
+    print(
+        f"\nE10 network [large]: {len(mutations)} mutations, rebuild "
+        f"{rebuild_time * 1e3:.1f}ms, apply {apply_time * 1e3:.1f}ms -> "
+        f"{speedup:.1f}x"
+    )
+    assert speedup >= 5.0, (
+        f"apply_mutation only {speedup:.1f}x faster than rebuilding the "
+        f"networks from their dicts (gate: 5x)"
     )

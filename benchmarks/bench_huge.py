@@ -13,7 +13,12 @@ both claims on a 10^5-processor network:
 * **compiled replay gate** -- the replay inner loop (batched pair-path
   charge, fused load apply, running-max congestion) under the cc
   backend must beat the numpy reference by at least **5x** on this
-  substrate, with bit-for-bit identical results.
+  substrate, with bit-for-bit identical results;
+* **mutation gates** -- one ``SetEdgeBandwidth`` takes at most 10 ms
+  (it shares every structural array), and an attach, a detach and a
+  split (rooted view warm) each run at least 10x faster than the
+  rebuild-and-revalidate mutations they replaced.  The network build
+  time is printed.
 
 Run with ``pytest benchmarks/bench_huge.py --huge``; the tier is skipped
 entirely without the flag (the build takes seconds, not milliseconds).
@@ -31,6 +36,13 @@ import pytest
 from repro.core import kernels
 from repro.core.loadstate import LoadState
 from repro.network.builders import balanced_tree
+from repro.network.mutation import (
+    AttachLeaf,
+    DetachLeaf,
+    SetEdgeBandwidth,
+    SplitBus,
+    apply_mutation,
+)
 
 pytestmark = pytest.mark.huge
 
@@ -47,13 +59,23 @@ MEMORY_CEILING_BYTES = 48 * 1024 * 1024
 
 SPEEDUP_FLOOR = 5.0
 
+#: One bandwidth mutation on the huge network, ceiling in seconds.
+BANDWIDTH_MUTATION_CEILING_S = 0.010
+
+#: Seconds per structural mutation when every mutation rebuilt and
+#: re-validated the whole network (2 vCPU, CPython 3.11); the gate asks
+#: for 10x less.
+REBUILD_MUTATION_S = {"attach": 1.29, "detach": 1.43, "split": 1.78}
+
 _cache = {}
 
 
 def huge_substrate():
     """Build (network, path matrix, fresh load state) once per session."""
     if "substrate" not in _cache:
+        t0 = time.perf_counter()
         net = balanced_tree(*HUGE_DIMS)
+        _cache["network_build_s"] = time.perf_counter() - t0
         pm = net.rooted().path_matrix()
         _cache["substrate"] = (net, pm)
     net, pm = _cache["substrate"]
@@ -107,6 +129,49 @@ def test_huge_build_under_memory_ceiling():
     # int32 dtype shrink is what makes the ceiling: spot-check the tables
     for attr in ("_up", "_rp_edges", "_rp_nodes", "_edge_u", "_edge_v"):
         assert getattr(pm, attr).dtype == kernels.INDEX_DTYPE
+
+
+def _best_of(repeats, fn):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_huge_mutations():
+    """Network mutations cost array surgery, not a whole-tree rebuild."""
+    net, _pm, _ = huge_substrate()
+    rooted = net.rooted()  # warm: the substrate build rooted the network
+    leaf_bus = net.buses[-1]
+    kids = rooted.children(leaf_bus)
+    e = net.edges[len(net.edges) // 2]
+    bandwidth_s = _best_of(5, lambda: apply_mutation(
+        net, SetEdgeBandwidth(e.u, e.v, 2.0)))
+    times = {
+        "attach": _best_of(3, lambda: apply_mutation(net, AttachLeaf(leaf_bus))),
+        "detach": _best_of(3, lambda: apply_mutation(net, DetachLeaf(kids[0]))),
+        "split": _best_of(
+            3, lambda: apply_mutation(net, SplitBus(leaf_bus, kids[: len(kids) // 2]))
+        ),
+    }
+    print(
+        f"\nhuge mutations on {net.n_nodes} nodes: network build "
+        f"{_cache['network_build_s']:.2f}s; SetEdgeBandwidth "
+        f"{bandwidth_s * 1e3:.2f}ms; "
+        + ", ".join(f"{k} {v * 1e3:.1f}ms" for k, v in times.items())
+    )
+    assert bandwidth_s <= BANDWIDTH_MUTATION_CEILING_S, (
+        f"SetEdgeBandwidth took {bandwidth_s * 1e3:.1f}ms on the huge network "
+        f"(gate: {BANDWIDTH_MUTATION_CEILING_S * 1e3:.0f}ms)"
+    )
+    for kind, seconds in times.items():
+        ceiling = REBUILD_MUTATION_S[kind] / 10
+        assert seconds <= ceiling, (
+            f"{kind} took {seconds * 1e3:.0f}ms on the huge network "
+            f"(gate: {ceiling * 1e3:.0f}ms, 10x under the rebuild)"
+        )
 
 
 def test_huge_blocked_distances():

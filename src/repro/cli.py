@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
@@ -919,11 +920,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes the output early (``repro simulate --list | head
+    -1``) ends the command quietly with status 0.
+    """
     stream = stream if stream is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, stream)
+    try:
+        code = args.func(args, stream)
+        stream.flush()
+    except BrokenPipeError:
+        if stream is sys.stdout:
+            # the interpreter flushes stdout again at exit: point it at
+            # devnull so that flush cannot raise (Python docs, "Note on
+            # SIGPIPE")
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -552,16 +552,15 @@ class StackedLoadState:
         self.n_edges = network.n_edges
         self.n_nodes = network.n_nodes
 
-        # endpoint / bus arrays are shared with the path matrix (identical
-        # construction from network.edges; both sides treat them as
-        # immutable), so huge networks hold one int32 copy, not two
+        # endpoint / bus arrays are the network's own read-only arrays, read
+        # through the path matrix, so huge networks hold one int32 copy
         self._edge_u = self.pm._edge_u
         self._edge_v = self.pm._edge_v
         self._node_is_bus = self.pm._bus_mask
         self._bus_nodes = np.flatnonzero(self.pm._bus_mask)
 
         self._denom = self._build_denominators(network)
-        self._inc_indptr, self._inc_edges = self._build_incident_csr()
+        self._inc_indptr, _, self._inc_edges = network.adjacency
 
         self._path_cache: dict = {}
         self._steiner_cache: dict = {}
@@ -601,23 +600,6 @@ class StackedLoadState:
         bus_bw2 = 2.0 * np.asarray(network.bus_bandwidths, dtype=np.float64)
         denom[self.n_edges + self._bus_nodes] = bus_bw2[self._bus_nodes]
         return denom
-
-    def _build_incident_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Incident-edge CSR per node, built from the endpoint arrays.
-
-        ``inc_edges[indptr[v]:indptr[v+1]]`` are the edge ids incident to
-        node ``v``, ascending, with the ``u`` endpoint of an edge listed
-        before its ``v`` endpoint.  Used for per-bus reads and the
-        consistency check; shared by construction and :meth:`repair`.
-        """
-        endpoints = np.empty(2 * self.n_edges, dtype=kernels.INDEX_DTYPE)
-        endpoints[0::2] = self._edge_u
-        endpoints[1::2] = self._edge_v
-        eids = np.repeat(np.arange(self.n_edges, dtype=kernels.INDEX_DTYPE), 2)
-        order = np.argsort(endpoints, kind="stable")
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(endpoints, minlength=self.n_nodes))
-        return indptr, eids[order]
 
     def incident_edge_ids(self, node: int) -> np.ndarray:
         """Edge ids incident to ``node`` (precomputed CSR slice)."""
@@ -855,7 +837,7 @@ class StackedLoadState:
             self._bus_nodes = np.flatnonzero(new_pm._bus_mask)
 
             self._denom = self._build_denominators(network)
-            self._inc_indptr, self._inc_edges = self._build_incident_csr()
+            self._inc_indptr, _, self._inc_edges = network.adjacency
 
             self._path_cache.clear()
             self._steiner_cache.clear()

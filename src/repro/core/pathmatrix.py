@@ -129,13 +129,13 @@ class PathMatrix:
         self._rp_edges = rp_edges
         self._rp_nodes = rp_nodes
 
-        edges = network.edges
-        self._edge_u = np.array([e.u for e in edges], dtype=_INDEX)
-        self._edge_v = np.array([e.v for e in edges], dtype=_INDEX)
-        bus_mask = np.zeros(n, dtype=bool)
-        if network.buses:
-            bus_mask[list(network.buses)] = True
-        self._bus_mask = bus_mask
+        self._bind_network(network)
+
+    def _bind_network(self, network) -> None:
+        """Read the endpoint arrays and bus mask off the (immutable) network."""
+        self._edge_u = network.edge_u
+        self._edge_v = network.edge_v
+        self._bus_mask = network.bus_mask
 
     # ------------------------------------------------------------------ #
     # incremental repair after topology mutations
@@ -149,12 +149,13 @@ class PathMatrix:
         """Path matrix for ``rooted`` (a repaired view), derived from this one.
 
         The repaired instance is bit-for-bit identical to
-        ``PathMatrix(rooted)`` -- same CSR root-path incidence, lifting
-        table and endpoint arrays -- but the CSR is patched with vectorized
-        array surgery (append for attach, one masked copy for detach, one
-        shifted copy with the trunk edge spliced in for split) instead of
-        the O(n · height) per-node construction loop.  The result is
-        installed as ``rooted``'s cached path matrix.
+        ``PathMatrix(rooted)`` -- same CSR root-path incidence and lifting
+        table, and the new network's own endpoint arrays and bus mask --
+        but the CSR is patched with vectorized array surgery (append for
+        attach, one masked copy for detach, one shifted copy with the trunk
+        edge spliced in for split) instead of the O(n · height) per-node
+        construction loop.  The result is installed as ``rooted``'s cached
+        path matrix.
         """
         from repro.network.mutation import AttachLeaf, DetachLeaf, SplitBus
 
@@ -168,6 +169,7 @@ class PathMatrix:
         new._parent = rooted._parent
         new._parent_edge = rooted._parent_edge
         new._depth = rooted._depth
+        new._bind_network(network)
 
         mutation = outcome.mutation
         if outcome.structural:
@@ -181,9 +183,6 @@ class PathMatrix:
             new._rp_indptr = self._rp_indptr
             new._rp_edges = self._rp_edges
             new._rp_nodes = self._rp_nodes
-            new._edge_u = self._edge_u
-            new._edge_v = self._edge_v
-            new._bus_mask = self._bus_mask
         elif isinstance(mutation, AttachLeaf):
             self._repair_attach(new, outcome)
         elif isinstance(mutation, DetachLeaf):
@@ -235,9 +234,6 @@ class PathMatrix:
             [self._rp_nodes, np.full(dw, w, dtype=_INDEX)]
         )
         new._rp_indptr = np.append(self._rp_indptr, self._rp_indptr[-1] + dw)
-        new._edge_u = np.append(self._edge_u, _INDEX(bus))
-        new._edge_v = np.append(self._edge_v, _INDEX(w))
-        new._bus_mask = np.append(self._bus_mask, False)
 
     def _repair_detach(self, new: "PathMatrix", outcome) -> None:
         p = int(outcome.removed_node)
@@ -257,11 +253,6 @@ class PathMatrix:
         indptr = np.zeros(new.n_nodes + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(depth)
         new._rp_indptr = indptr
-
-        ekeep = em >= 0
-        new._edge_u = nm[self._edge_u[ekeep]].astype(_INDEX)
-        new._edge_v = nm[self._edge_v[ekeep]].astype(_INDEX)
-        new._bus_mask = self._bus_mask[keep]
 
     def _repair_split(self, new: "PathMatrix", outcome) -> None:
         b = int(outcome.touched_bus)
@@ -307,16 +298,6 @@ class PathMatrix:
         new._rp_indptr = indptr
         new._rp_edges = np.concatenate([head, tail])
         new._rp_nodes = rp_nodes
-
-        eu = self._edge_u.copy()
-        ev = self._edge_v.copy()
-        mids = np.asarray(outcome.moved_edge_ids, dtype=np.int64)
-        ms = eu[mids] + ev[mids] - _INDEX(b)  # the moved endpoint of each edge
-        eu[mids] = ms
-        ev[mids] = w
-        new._edge_u = np.append(eu, _INDEX(b))
-        new._edge_v = np.append(ev, _INDEX(w))
-        new._bus_mask = np.append(self._bus_mask, True)
 
     # ------------------------------------------------------------------ #
     # vectorized structural queries

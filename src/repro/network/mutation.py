@@ -1,16 +1,17 @@
 """Topology mutations on hierarchical bus networks.
 
-The paper (and PRs 1-2) treat the bus network as fixed: every evaluation
-structure -- rooted views, the path-incidence matrix, the incremental load
-state -- is derived once per network object.  Production bus fabrics churn:
-switches get reprovisioned, processors join and leave, overloaded buses are
-split.  This module defines the *closed set* of mutations the rest of the
-system understands, so the substrate layers can repair themselves
+The paper treats the bus network as fixed: every evaluation structure --
+rooted views, the path-incidence matrix, the incremental load state -- is
+derived once per network object.  Production bus fabrics churn: switches
+get reprovisioned, processors join and leave, overloaded buses are split.
+This module defines the *closed set* of mutations the rest of the system
+understands, so every layer, the network included, can repair itself
 incrementally instead of being rebuilt from scratch:
 
 * :class:`SetEdgeBandwidth` / :class:`SetBusBandwidth` -- bandwidth
-  reconfiguration; no structural change, substrate repair is a pure
-  relative-load denominator update.
+  reconfiguration; no structural change.  The new network shares every
+  structural array with the old one and copies the one bandwidth array
+  it changes; substrate repair is a pure relative-load denominator update.
 * :class:`AttachLeaf` -- a new processor joins a bus (node and switch edge
   ids are *appended*, so existing ids are stable).
 * :class:`DetachLeaf` -- a processor leaves; the remaining node and edge
@@ -22,12 +23,18 @@ incrementally instead of being rebuilt from scratch:
   edges keep their ids and bandwidths (they are re-targeted, not
   recreated); one new trunk edge is appended.
 
-:func:`apply_mutation` is *functional*: it returns a new validated
+:func:`apply_mutation` is *functional*: it returns a new
 :class:`~repro.network.tree.HierarchicalBusNetwork` plus a
 :class:`MutationOutcome` describing exactly what moved, which is what the
 ``repair`` paths of :class:`~repro.network.rooted.RootedTree`,
 :class:`~repro.core.pathmatrix.PathMatrix` and
-:class:`~repro.core.loadstate.LoadState` consume.  :class:`ChurnTrace`
+:class:`~repro.core.loadstate.LoadState` consume.  The new network is
+built by array surgery on the old one's storage arrays, matching the
+outcome's node and edge maps; it is not re-validated as a whole.  Each
+mutation checks only the nodes it touches, and the closed set keeps a
+valid tree a valid tree by construction, so the mutated network equals
+a validated from-scratch build of the same tree (pinned by
+``tests/properties/test_churn_differential.py``).  :class:`ChurnTrace`
 packages a seeded sequence of timed mutations so request replay and
 topology churn can be interleaved deterministically.
 """
@@ -40,7 +47,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import BandwidthError, MutationError
-from repro.network.node import BusSpec, NodeSpec, ProcessorSpec
+from repro.network.node import NodeKind
 from repro.network.tree import HierarchicalBusNetwork
 
 __all__ = [
@@ -191,26 +198,6 @@ class MutationOutcome:
         return out
 
 
-def _node_specs(network: HierarchicalBusNetwork) -> List[NodeSpec]:
-    """Reconstruct the per-node spec list of an existing network."""
-    specs: List[NodeSpec] = []
-    for v in range(network.n_nodes):
-        if network.is_bus(v):
-            specs.append(BusSpec(network.name(v), network.bus_bandwidth(v)))
-        else:
-            specs.append(ProcessorSpec(network.name(v)))
-    return specs
-
-
-def _edge_lists(
-    network: HierarchicalBusNetwork,
-) -> Tuple[List[Tuple[int, int]], List[float]]:
-    """Edges and parallel bandwidths of an existing network, in id order."""
-    edges = [(e.u, e.v) for e in network.edges]
-    bandwidths = [float(b) for b in network.edge_bandwidths]
-    return edges, bandwidths
-
-
 def _identity_maps(network: HierarchicalBusNetwork) -> Tuple[np.ndarray, np.ndarray]:
     return (
         np.arange(network.n_nodes, dtype=np.int64),
@@ -263,14 +250,13 @@ def _apply_set_edge_bandwidth(
             f"edge bandwidth must be positive, got {mutation.bandwidth}"
         )
     eid = network.edge_id(mutation.u, mutation.v)  # raises for unknown edges
-    edges, bandwidths = _edge_lists(network)
+    bandwidths = network.edge_bandwidths.copy()
     bandwidths[eid] = float(mutation.bandwidth)
-    new = HierarchicalBusNetwork(_node_specs(network), edges, bandwidths)
     node_map, edge_map = _identity_maps(network)
     return MutationOutcome(
         mutation=mutation,
         old_network=network,
-        network=new,
+        network=network.with_bandwidths(edge_bandwidths=bandwidths),
         node_map=node_map,
         edge_map=edge_map,
         changed_edge=eid,
@@ -287,15 +273,13 @@ def _apply_set_bus_bandwidth(
     bus = int(mutation.bus)
     if bus not in network or not network.is_bus(bus):
         raise MutationError(f"node {bus} is not a bus of the network")
-    specs = _node_specs(network)
-    specs[bus] = BusSpec(network.name(bus), float(mutation.bandwidth))
-    edges, bandwidths = _edge_lists(network)
-    new = HierarchicalBusNetwork(specs, edges, bandwidths)
+    bandwidths = network.bus_bandwidths.copy()
+    bandwidths[bus] = float(mutation.bandwidth)
     node_map, edge_map = _identity_maps(network)
     return MutationOutcome(
         mutation=mutation,
         old_network=network,
-        network=new,
+        network=network.with_bandwidths(bus_bandwidths=bandwidths),
         node_map=node_map,
         edge_map=edge_map,
         changed_bus=bus,
@@ -312,16 +296,19 @@ def _apply_attach_leaf(
     bus = int(mutation.bus)
     if bus not in network or not network.is_bus(bus):
         raise MutationError(f"cannot attach a leaf to non-bus node {bus}")
-    specs = _node_specs(network)
-    new_node = len(specs)
-    specs.append(ProcessorSpec(mutation.name or f"p{new_node}"))
-    edges, bandwidths = _edge_lists(network)
-    new_edge = len(edges)
-    edges.append((bus, new_node))
-    bandwidths.append(float(mutation.bandwidth))
-    new = HierarchicalBusNetwork(specs, edges, bandwidths)
-    node_map = np.arange(network.n_nodes, dtype=np.int64)
-    edge_map = np.arange(network.n_edges, dtype=np.int64)
+    new_node = network.n_nodes
+    new_edge = network.n_edges
+    # the new leaf and its switch edge take the next ids: (bus, new_node)
+    # is canonical because new_node is the largest id
+    new = HierarchicalBusNetwork.from_arrays(
+        np.append(network.kinds, np.int8(NodeKind.PROCESSOR)),
+        network.names + (mutation.name or f"p{new_node}",),
+        np.append(network.bus_bandwidths, 1.0),
+        np.append(network.edge_u, bus),
+        np.append(network.edge_v, new_node),
+        np.append(network.edge_bandwidths, float(mutation.bandwidth)),
+    )
+    node_map, edge_map = _identity_maps(network)
     return MutationOutcome(
         mutation=mutation,
         old_network=network,
@@ -356,17 +343,21 @@ def _apply_detach_leaf(
     edge_map[removed_edge] = -1
     edge_map[removed_edge + 1 :] -= 1
 
-    specs = _node_specs(network)
-    del specs[proc]
-    old_edges, old_bandwidths = _edge_lists(network)
-    edges = []
-    bandwidths = []
-    for eid, (u, v) in enumerate(old_edges):
-        if eid == removed_edge:
-            continue
-        edges.append((int(node_map[u]), int(node_map[v])))
-        bandwidths.append(old_bandwidths[eid])
-    new = HierarchicalBusNetwork(specs, edges, bandwidths)
+    # ids past the removed ones shift down by one; the shift is monotone,
+    # so every remaining edge stays canonical
+    edge_u = np.delete(network.edge_u, removed_edge)
+    edge_v = np.delete(network.edge_v, removed_edge)
+    edge_u -= edge_u > proc
+    edge_v -= edge_v > proc
+    names = network.names
+    new = HierarchicalBusNetwork.from_arrays(
+        np.delete(network.kinds, proc),
+        names[:proc] + names[proc + 1 :],
+        np.delete(network.bus_bandwidths, proc),
+        edge_u,
+        edge_v,
+        np.delete(network.edge_bandwidths, removed_edge),
+    )
     return MutationOutcome(
         mutation=mutation,
         old_network=network,
@@ -377,6 +368,31 @@ def _apply_detach_leaf(
         removed_edge=removed_edge,
         touched_bus=bus,
     )
+
+
+def _side_holding(
+    network: HierarchicalBusNetwork, bus: int, moved: Tuple[int, ...], target: int
+) -> Optional[int]:
+    """The node of ``moved`` whose side of ``bus`` holds ``target``, if any.
+
+    With ``target`` the canonical root that node is ``bus``'s canonical
+    parent.  Searches only the subtrees hanging off ``bus`` through
+    ``moved`` -- the region the split touches -- instead of rooting the
+    whole network.
+    """
+    indptr, across, _edge_ids = network.adjacency
+    for m in moved:
+        seen = {bus, m}
+        stack = [m]
+        while stack:
+            u = stack.pop()
+            if u == target:
+                return m
+            for v in across[indptr[u] : indptr[u + 1]].tolist():
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return None
 
 
 def _apply_split_bus(
@@ -396,29 +412,33 @@ def _apply_split_bus(
         raise MutationError(f"moved nodes {bad} are not neighbours of bus {bus}")
     if len(set(moved)) != len(moved):
         raise MutationError("moved neighbours must be distinct")
-    rooted = network.rooted()
-    parent = rooted.parent(bus)
-    if parent in moved:
+    parent = _side_holding(network, bus, moved, network.canonical_root())
+    if parent is not None:
         raise MutationError(
             f"cannot move the parent {parent} of bus {bus} under the new bus"
         )
     if network.degree(bus) - len(moved) + 1 < 2:
         raise MutationError(f"split would leave bus {bus} with degree < 2")
 
-    specs = _node_specs(network)
-    new_node = len(specs)
-    specs.append(BusSpec(mutation.name or f"b{new_node}", float(mutation.bus_bandwidth)))
-    old_edges, bandwidths = _edge_lists(network)
+    new_node = network.n_nodes
+    new_edge = network.n_edges
     moved_edge_ids = tuple(network.edge_id(bus, m) for m in moved)
-    edges = list(old_edges)
-    for m, eid in zip(moved, moved_edge_ids):
-        edges[eid] = (m, new_node)
-    new_edge = len(edges)
-    edges.append((bus, new_node))
-    bandwidths.append(float(mutation.trunk_bandwidth))
-    new = HierarchicalBusNetwork(specs, edges, bandwidths)
-    node_map = np.arange(network.n_nodes, dtype=np.int64)
-    edge_map = np.arange(network.n_edges, dtype=np.int64)
+    # moved switch edges keep their ids and are re-targeted to the new bus
+    # (the largest id, so (m, new_node) is canonical); the trunk is appended
+    mids = np.asarray(moved_edge_ids, dtype=np.int64)
+    edge_u = np.append(network.edge_u, bus)
+    edge_v = np.append(network.edge_v, new_node)
+    edge_u[mids] = moved
+    edge_v[mids] = new_node
+    new = HierarchicalBusNetwork.from_arrays(
+        np.append(network.kinds, np.int8(NodeKind.BUS)),
+        network.names + (mutation.name or f"b{new_node}",),
+        np.append(network.bus_bandwidths, float(mutation.bus_bandwidth)),
+        edge_u,
+        edge_v,
+        np.append(network.edge_bandwidths, float(mutation.trunk_bandwidth)),
+    )
+    node_map, edge_map = _identity_maps(network)
     return MutationOutcome(
         mutation=mutation,
         old_network=network,

@@ -54,41 +54,52 @@ class RootedTree:
         self.network = network
         self.root = int(root)
 
-        parent = np.full(n, -1, dtype=np.int64)
-        parent_edge = np.full(n, -1, dtype=np.int64)
-        depth = np.full(n, -1, dtype=np.int64)
+        # neighbours in ascending id order fix the traversal order (and so
+        # the preorder)
+        indptr, neighbours, edge_ids = network.adjacency
+        ptr = indptr.tolist()
+        across = neighbours.tolist()
+        via = edge_ids.tolist()
+
+        parent = [-1] * n
+        parent_edge = [-1] * n
+        depth = [-1] * n
         order: List[int] = []
         children: List[List[int]] = [[] for _ in range(n)]
 
         depth[root] = 0
-        stack = [root]
+        stack = [int(root)]
         while stack:
             u = stack.pop()
             order.append(u)
-            for v in network.neighbors(u):
-                if v != parent[u]:
+            pu = parent[u]
+            du = depth[u] + 1
+            kids = children[u]
+            for k in range(ptr[u], ptr[u + 1]):
+                v = across[k]
+                if v != pu:
                     parent[v] = u
-                    parent_edge[v] = network.edge_id(u, v)
-                    depth[v] = depth[u] + 1
-                    children[u].append(v)
+                    parent_edge[v] = via[k]
+                    depth[v] = du
+                    kids.append(v)
                     stack.append(v)
         if len(order) != n:
             raise InvalidNodeError(
                 "rooted traversal did not reach all nodes; network is not a tree"
             )
-
-        self._parent = parent
-        self._parent_edge = parent_edge
-        self._depth = depth
-        self._order = np.asarray(order, dtype=np.int64)
-        self._children = [tuple(sorted(c)) for c in children]
-        self._height = int(depth.max())
-        sizes = np.ones(n, dtype=np.int64)
+        sizes = [1] * n
         for u in reversed(order):
             p = parent[u]
             if p >= 0:
                 sizes[p] += sizes[u]
-        self._subtree_size = sizes
+
+        self._parent = np.asarray(parent, dtype=np.int64)
+        self._parent_edge = np.asarray(parent_edge, dtype=np.int64)
+        self._depth = np.asarray(depth, dtype=np.int64)
+        self._order = np.asarray(order, dtype=np.int64)
+        self._children = [tuple(c) for c in children]  # ascending already
+        self._height = int(self._depth.max())
+        self._subtree_size = np.asarray(sizes, dtype=np.int64)
         self._path_matrix = None
 
     def path_matrix(self):

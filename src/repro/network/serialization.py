@@ -100,14 +100,14 @@ def network_from_dict(data: Dict[str, Any]) -> HierarchicalBusNetwork:
             raise SerializationError(f"unknown node kind {kind!r}")
 
     edges = []
-    bandwidths = {}
+    bandwidths = []
     for entry in raw_edges:
         try:
             u, v = int(entry["u"]), int(entry["v"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"malformed edge entry {entry!r}") from exc
         edges.append((u, v))
-        bandwidths[(min(u, v), max(u, v))] = float(entry.get("bandwidth", 1.0))
+        bandwidths.append(float(entry.get("bandwidth", 1.0)))
 
     try:
         return HierarchicalBusNetwork(specs, edges, edge_bandwidths=bandwidths)

@@ -35,6 +35,11 @@ from repro.network.node import BusSpec, NodeKind, NodeSpec, ProcessorSpec
 
 __all__ = ["Edge", "HierarchicalBusNetwork", "NetworkBuilder"]
 
+_PROCESSOR = int(NodeKind.PROCESSOR)
+_BUS = int(NodeKind.BUS)
+#: Dtype of the node- and edge-id arrays (``repro.core.kernels.INDEX_DTYPE``).
+_INDEX = np.int32
+
 
 class Edge(Tuple[int, int]):
     """Canonical (sorted) undirected edge ``(u, v)`` with ``u < v``."""
@@ -74,6 +79,15 @@ class HierarchicalBusNetwork:
     the topology factories in :mod:`repro.network.builders`; the constructor
     performs full validation of the hierarchical-bus-network model.
 
+    The network is stored as parallel read-only arrays: node kinds and bus
+    bandwidths (per node), canonical ``u < v`` edge endpoints and edge
+    bandwidths (per edge), and the adjacency in CSR form (per node, its
+    neighbours ascending and the id of the edge to each).  The
+    ``Edge`` tuples and the processor / bus id tuples are built on first
+    use.  Because no array is ever written after construction, the
+    networks :func:`~repro.network.mutation.apply_mutation` derives share
+    every array the mutation does not change.
+
     Parameters
     ----------
     specs:
@@ -95,11 +109,14 @@ class HierarchicalBusNetwork:
         "_kinds",
         "_names",
         "_bus_bandwidth",
-        "_edges",
-        "_edge_index",
+        "_edge_u",
+        "_edge_v",
         "_edge_bandwidth",
-        "_adjacency",
-        "_incident_edges",
+        "_adj_indptr",
+        "_adj_nodes",
+        "_adj_edges",
+        "_bus_mask",
+        "_edges",
         "_processors",
         "_buses",
         "_rooted_cache",
@@ -115,64 +132,119 @@ class HierarchicalBusNetwork:
         n = len(specs)
         if n == 0:
             raise TopologyError("a network must contain at least one node")
-
-        self._kinds = np.array([int(s.kind) for s in specs], dtype=np.int8)
-        self._names: List[str] = []
-        self._bus_bandwidth = np.ones(n, dtype=np.float64)
-        for i, spec in enumerate(specs):
-            default = ("p" if spec.is_processor else "b") + str(i)
-            self._names.append(spec.name if spec.name is not None else default)
-            if spec.is_bus:
-                self._bus_bandwidth[i] = float(spec.bandwidth)
-
-        edge_list = [Edge(u, v) for (u, v) in edges]
-        self._edges: Tuple[Edge, ...] = tuple(edge_list)
-        self._edge_index: Dict[Edge, int] = {}
-        for idx, e in enumerate(self._edges):
-            if e in self._edge_index:
-                raise InvalidEdgeError(f"duplicate edge {e}")
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise InvalidNodeError(f"edge {e} references an unknown node")
-            self._edge_index[e] = idx
-
-        m = len(self._edges)
-        self._edge_bandwidth = np.ones(m, dtype=np.float64)
-        if edge_bandwidths is not None:
-            if isinstance(edge_bandwidths, dict):
-                for key, bw in edge_bandwidths.items():
-                    e = Edge(*key)
-                    if e not in self._edge_index:
-                        raise InvalidEdgeError(f"bandwidth given for unknown edge {e}")
-                    self._edge_bandwidth[self._edge_index[e]] = float(bw)
-            else:
-                values = list(edge_bandwidths)
-                if len(values) != m:
-                    raise BandwidthError(
-                        "edge_bandwidths sequence must be parallel to edges: "
-                        f"expected {m} values, got {len(values)}"
-                    )
-                self._edge_bandwidth = np.asarray(values, dtype=np.float64).copy()
-
-        self._adjacency: List[List[int]] = [[] for _ in range(n)]
-        self._incident_edges: List[List[int]] = [[] for _ in range(n)]
-        for idx, e in enumerate(self._edges):
-            self._adjacency[e.u].append(e.v)
-            self._adjacency[e.v].append(e.u)
-            self._incident_edges[e.u].append(idx)
-            self._incident_edges[e.v].append(idx)
-        for lst in self._adjacency:
-            lst.sort()
-
-        self._processors: Tuple[int, ...] = tuple(
-            int(i) for i in np.flatnonzero(self._kinds == int(NodeKind.PROCESSOR))
+        kinds = np.fromiter((int(s.kind) for s in specs), dtype=np.int8, count=n)
+        names = tuple(
+            s.name if s.name is not None else ("b" if s.is_bus else "p") + str(i)
+            for i, s in enumerate(specs)
         )
-        self._buses: Tuple[int, ...] = tuple(
-            int(i) for i in np.flatnonzero(self._kinds == int(NodeKind.BUS))
+        bus_bandwidth = np.fromiter(
+            (float(s.bandwidth) if s.is_bus else 1.0 for s in specs),
+            dtype=np.float64,
+            count=n,
         )
-        self._rooted_cache: Dict[int, object] = {}
-
+        edge_u, edge_v = _canonical_edges(edges, n)
+        m = edge_u.shape[0]
+        edge_bandwidth = np.ones(m, dtype=np.float64)
+        if isinstance(edge_bandwidths, dict):
+            index = {e: i for i, e in enumerate(zip(edge_u.tolist(), edge_v.tolist()))}
+            for key, bw in edge_bandwidths.items():
+                e = Edge(*key)
+                if e not in index:
+                    raise InvalidEdgeError(f"bandwidth given for unknown edge {e}")
+                edge_bandwidth[index[e]] = float(bw)
+        elif edge_bandwidths is not None:
+            values = list(edge_bandwidths)
+            if len(values) != m:
+                raise BandwidthError(
+                    "edge_bandwidths sequence must be parallel to edges: "
+                    f"expected {m} values, got {len(values)}"
+                )
+            edge_bandwidth = np.asarray(values, dtype=np.float64)
+        self._set_arrays(kinds, names, bus_bandwidth, edge_u, edge_v, edge_bandwidth)
         if validate:
             self.validate()
+
+    def _set_arrays(self, kinds, names, bus_bandwidth, edge_u, edge_v, edge_bandwidth):
+        """Freeze the stored arrays and derive the adjacency CSR from them."""
+        self._kinds = _frozen(kinds)
+        self._names = names
+        self._bus_bandwidth = _frozen(bus_bandwidth)
+        self._edge_u = _frozen(edge_u)
+        self._edge_v = _frozen(edge_v)
+        self._edge_bandwidth = _frozen(edge_bandwidth)
+        n = kinds.shape[0]
+        m = edge_u.shape[0]
+        # both directions of every edge, sorted by (node, neighbour)
+        ends = np.concatenate([edge_u, edge_v])
+        across = np.concatenate([edge_v, edge_u])
+        order = np.argsort(ends.astype(np.int64) * n + across)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+        self._adj_indptr = _frozen(indptr)
+        self._adj_nodes = _frozen(across[order])
+        self._adj_edges = _frozen(np.tile(np.arange(m, dtype=_INDEX), 2)[order])
+        self._bus_mask = None
+        self._edges = None
+        self._processors = None
+        self._buses = None
+        self._rooted_cache: Dict[int, object] = {}
+
+    @classmethod
+    def from_arrays(
+        cls,
+        kinds: np.ndarray,
+        names: Sequence[str],
+        bus_bandwidths: np.ndarray,
+        edge_u: np.ndarray,
+        edge_v: np.ndarray,
+        edge_bandwidths: np.ndarray,
+    ) -> "HierarchicalBusNetwork":
+        """Build a network directly from its storage arrays, unvalidated.
+
+        ``edge_u`` / ``edge_v`` must be canonical (``u < v``) and in range;
+        the arrays are taken over (frozen), not copied.  The caller vouches
+        for the model invariants -- the mutation layer, whose closed
+        mutation set keeps a valid tree valid and checks the nodes each
+        mutation touches; call :meth:`validate` on anything else.
+        """
+        net = object.__new__(cls)
+        net._set_arrays(
+            np.asarray(kinds, dtype=np.int8),
+            tuple(names),
+            np.asarray(bus_bandwidths, dtype=np.float64),
+            np.asarray(edge_u, dtype=_INDEX),
+            np.asarray(edge_v, dtype=_INDEX),
+            np.asarray(edge_bandwidths, dtype=np.float64),
+        )
+        return net
+
+    def with_bandwidths(
+        self,
+        edge_bandwidths: Optional[np.ndarray] = None,
+        bus_bandwidths: Optional[np.ndarray] = None,
+    ) -> "HierarchicalBusNetwork":
+        """A copy with new bandwidth arrays, sharing every structural array.
+
+        The given arrays are taken over (frozen), not copied.  Only their
+        shape and positivity are checked: the structure is this network's.
+        """
+        new = object.__new__(type(self))
+        for slot in self.__slots__:
+            setattr(new, slot, getattr(self, slot))
+        new._rooted_cache = {}
+        for slot, arr, what in (
+            ("_edge_bandwidth", edge_bandwidths, "edge"),
+            ("_bus_bandwidth", bus_bandwidths, "bus"),
+        ):
+            if arr is None:
+                continue
+            arr = np.asarray(arr, dtype=np.float64)
+            if arr.shape != getattr(self, slot).shape:
+                raise BandwidthError(f"{what} bandwidths must keep their shape")
+            if np.any(arr <= 0):
+                raise BandwidthError(f"all {what} bandwidths must be positive")
+            setattr(new, slot, _frozen(arr))
+        return new
 
     # ------------------------------------------------------------------ #
     # validation
@@ -192,43 +264,85 @@ class HierarchicalBusNetwork:
             If any bandwidth is not positive.
         """
         n = self.n_nodes
-        if len(self._edges) != n - 1:
-            raise NotATreeError(
-                f"a tree on {n} nodes has {n - 1} edges, got {len(self._edges)}"
-            )
-        # connectivity check by BFS from node 0
-        seen = np.zeros(n, dtype=bool)
+        m = self.n_edges
+        if m != n - 1:
+            raise NotATreeError(f"a tree on {n} nodes has {n - 1} edges, got {m}")
+        # with n - 1 edges the graph is a tree iff it is connected
+        ptr = self._adj_indptr.tolist()
+        across = self._adj_nodes.tolist()
+        seen = bytearray(n)
+        seen[0] = 1
         stack = [0]
-        seen[0] = True
         count = 1
         while stack:
             u = stack.pop()
-            for v in self._adjacency[u]:
+            for v in across[ptr[u] : ptr[u + 1]]:
                 if not seen[v]:
-                    seen[v] = True
+                    seen[v] = 1
                     count += 1
                     stack.append(v)
         if count != n:
             raise NotATreeError("the network graph is not connected")
 
         if n == 1:
-            if not self.is_processor(0):
+            if self._kinds[0] != _PROCESSOR:
                 raise TopologyError("a single-node network must be a processor")
         else:
-            for v in range(n):
-                deg = len(self._adjacency[v])
-                if self.is_processor(v) and deg != 1:
+            degree = np.diff(self._adj_indptr)
+            is_processor = self._kinds == _PROCESSOR
+            bad = np.flatnonzero(np.where(is_processor, degree != 1, degree < 2))
+            if bad.size:
+                v = int(bad[0])
+                if is_processor[v]:
                     raise TopologyError(
-                        f"processor {v} must be a leaf, has degree {deg}"
+                        f"processor {v} must be a leaf, has degree {degree[v]}"
                     )
-                if self.is_bus(v) and deg < 2:
-                    raise TopologyError(
-                        f"bus {v} must be an inner node, has degree {deg}"
-                    )
+                raise TopologyError(
+                    f"bus {v} must be an inner node, has degree {degree[v]}"
+                )
         if np.any(self._edge_bandwidth <= 0):
             raise BandwidthError("all edge bandwidths must be positive")
         if np.any(self._bus_bandwidth <= 0):
             raise BandwidthError("all bus bandwidths must be positive")
+
+    # ------------------------------------------------------------------ #
+    # storage arrays (read-only, shared across derived networks)
+    # ------------------------------------------------------------------ #
+    @property
+    def kinds(self) -> np.ndarray:
+        """Per-node :class:`~repro.network.node.NodeKind` values (int8)."""
+        return self._kinds
+
+    @property
+    def edge_u(self) -> np.ndarray:
+        """Smaller endpoint of every edge, by edge id (int32)."""
+        return self._edge_u
+
+    @property
+    def edge_v(self) -> np.ndarray:
+        """Larger endpoint of every edge, by edge id (int32)."""
+        return self._edge_v
+
+    @property
+    def bus_mask(self) -> np.ndarray:
+        """Boolean per-node mask of the buses."""
+        if self._bus_mask is None:
+            self._bus_mask = _frozen(self._kinds == _BUS)
+        return self._bus_mask
+
+    @property
+    def adjacency(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Adjacency and incidence CSR ``(indptr, neighbours, edge_ids)``.
+
+        ``neighbours[indptr[v]:indptr[v+1]]`` are the neighbours of ``v``
+        in ascending id order and ``edge_ids`` the edge to each.
+        """
+        return self._adj_indptr, self._adj_nodes, self._adj_edges
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        """All node names, by node id."""
+        return self._names
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -241,31 +355,41 @@ class HierarchicalBusNetwork:
     @property
     def n_edges(self) -> int:
         """Number of edges ``|E|`` (equals ``n_nodes - 1``)."""
-        return len(self._edges)
+        return int(self._edge_u.shape[0])
 
     @property
     def n_processors(self) -> int:
         """Number of processors ``|P|``."""
-        return len(self._processors)
+        return len(self.processors)
 
     @property
     def n_buses(self) -> int:
         """Number of buses ``|B|``."""
-        return len(self._buses)
+        return len(self.buses)
 
     @property
     def processors(self) -> Tuple[int, ...]:
         """Node ids of all processors (leaves), ascending."""
+        if self._processors is None:
+            self._processors = tuple(np.flatnonzero(~self.bus_mask).tolist())
         return self._processors
 
     @property
     def buses(self) -> Tuple[int, ...]:
         """Node ids of all buses (inner nodes), ascending."""
+        if self._buses is None:
+            self._buses = tuple(np.flatnonzero(self.bus_mask).tolist())
         return self._buses
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
         """All edges in id order (the order used by edge-indexed arrays)."""
+        if self._edges is None:
+            new = tuple.__new__  # the endpoints are canonical already
+            self._edges = tuple(
+                new(Edge, pair)
+                for pair in zip(self._edge_u.tolist(), self._edge_v.tolist())
+            )
         return self._edges
 
     def nodes(self) -> range:
@@ -275,12 +399,12 @@ class HierarchicalBusNetwork:
     def is_processor(self, node: int) -> bool:
         """``True`` iff ``node`` is a processor (leaf)."""
         self._check_node(node)
-        return self._kinds[node] == int(NodeKind.PROCESSOR)
+        return self._kinds[node] == _PROCESSOR
 
     def is_bus(self, node: int) -> bool:
         """``True`` iff ``node`` is a bus (inner node)."""
         self._check_node(node)
-        return self._kinds[node] == int(NodeKind.BUS)
+        return self._kinds[node] == _BUS
 
     def kind(self, node: int) -> NodeKind:
         """Return the :class:`~repro.network.node.NodeKind` of ``node``."""
@@ -299,25 +423,28 @@ class HierarchicalBusNetwork:
         name.  Names are not required to be unique; the smallest matching id
         is returned.
         """
-        for i, n in enumerate(self._names):
-            if n == name:
-                return i
-        raise InvalidNodeError(f"no node named {name!r}")
+        try:
+            return self._names.index(name)
+        except ValueError:
+            raise InvalidNodeError(f"no node named {name!r}") from None
+
+    def _row(self, node: int) -> slice:
+        return slice(int(self._adj_indptr[node]), int(self._adj_indptr[node + 1]))
 
     def neighbors(self, node: int) -> Sequence[int]:
         """Neighbours of ``node`` in ascending id order."""
         self._check_node(node)
-        return tuple(self._adjacency[node])
+        return tuple(self._adj_nodes[self._row(node)].tolist())
 
     def degree(self, node: int) -> int:
         """Degree of ``node``."""
         self._check_node(node)
-        return len(self._adjacency[node])
+        return int(self._adj_indptr[node + 1] - self._adj_indptr[node])
 
     def incident_edge_ids(self, node: int) -> Sequence[int]:
-        """Ids of the edges incident to ``node``."""
+        """Ids of the edges incident to ``node``, ascending."""
         self._check_node(node)
-        return tuple(self._incident_edges[node])
+        return tuple(sorted(self._adj_edges[self._row(node)].tolist()))
 
     # ------------------------------------------------------------------ #
     # edges and bandwidths
@@ -329,23 +456,31 @@ class HierarchicalBusNetwork:
         exist.
         """
         e = Edge(u, v)
-        try:
-            return self._edge_index[e]
-        except KeyError:
-            raise InvalidEdgeError(f"edge {e} does not exist") from None
+        if 0 <= e.u and e.v < self.n_nodes:
+            row = self._row(e.u)
+            k = row.start + int(np.searchsorted(self._adj_nodes[row], e.v))
+            if k < row.stop and self._adj_nodes[k] == e.v:
+                return int(self._adj_edges[k])
+        raise InvalidEdgeError(f"edge {e} does not exist")
 
     def has_edge(self, u: int, v: int) -> bool:
         """``True`` iff ``{u, v}`` is an edge of the network."""
         if u == v:
             return False
-        return Edge(u, v) in self._edge_index
+        try:
+            self.edge_id(u, v)
+        except InvalidEdgeError:
+            return False
+        return True
 
     def edge_endpoints(self, edge_id: int) -> Edge:
         """Return the canonical ``(u, v)`` endpoints of an edge id."""
-        try:
-            return self._edges[edge_id]
-        except IndexError:
-            raise InvalidEdgeError(f"edge id {edge_id} out of range") from None
+        m = self.n_edges
+        if not -m <= edge_id < m:
+            raise InvalidEdgeError(f"edge id {edge_id} out of range")
+        return tuple.__new__(
+            Edge, (int(self._edge_u[edge_id]), int(self._edge_v[edge_id]))
+        )
 
     def edge_bandwidth(self, u: int, v: Optional[int] = None) -> float:
         """Bandwidth ``b(e)`` of an edge, by id or by endpoints."""
@@ -367,16 +502,12 @@ class HierarchicalBusNetwork:
     @property
     def edge_bandwidths(self) -> np.ndarray:
         """Read-only array of edge bandwidths indexed by edge id."""
-        arr = self._edge_bandwidth.view()
-        arr.flags.writeable = False
-        return arr
+        return self._edge_bandwidth
 
     @property
     def bus_bandwidths(self) -> np.ndarray:
         """Read-only array of per-node bus bandwidths (1.0 for processors)."""
-        arr = self._bus_bandwidth.view()
-        arr.flags.writeable = False
-        return arr
+        return self._bus_bandwidth
 
     # ------------------------------------------------------------------ #
     # rooted views
@@ -404,7 +535,8 @@ class HierarchicalBusNetwork:
 
     def canonical_root(self) -> int:
         """The default root: smallest-id bus, or node 0 if there is no bus."""
-        return self._buses[0] if self._buses else 0
+        first = int(np.argmax(self.bus_mask))
+        return first if self.bus_mask[first] else 0
 
     def height(self, root: Optional[int] = None) -> int:
         """Height of the tree rooted at ``root`` (canonical root by default)."""
@@ -412,7 +544,7 @@ class HierarchicalBusNetwork:
 
     def max_degree(self) -> int:
         """Maximum node degree ``degree(T)``."""
-        return max(len(adj) for adj in self._adjacency)
+        return int(np.diff(self._adj_indptr).max())
 
     # ------------------------------------------------------------------ #
     # dunder / misc
@@ -441,13 +573,45 @@ class HierarchicalBusNetwork:
             return NotImplemented
         return (
             np.array_equal(self._kinds, other._kinds)
-            and self._edges == other._edges
+            and np.array_equal(self._edge_u, other._edge_u)
+            and np.array_equal(self._edge_v, other._edge_v)
             and np.allclose(self._edge_bandwidth, other._edge_bandwidth)
             and np.allclose(self._bus_bandwidth, other._bus_bandwidth)
         )
 
     def __hash__(self) -> int:
-        return hash((self._edges, self._kinds.tobytes()))
+        return hash((self.edges, self._kinds.tobytes()))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` read-only (arrays are shared between derived networks)."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _canonical_edges(
+    edges: Iterable[Tuple[int, int]], n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Canonical ``(edge_u, edge_v)`` arrays of an edge list.
+
+    Raises for the first self-loop, else the first out-of-range edge, else
+    the first repeated edge (in input order).
+    """
+    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    for bad, error, message in (
+        (lo == hi, InvalidEdgeError, "self-loop edge {} is not allowed"),
+        ((lo < 0) | (hi >= n), InvalidNodeError, "edge {} references an unknown node"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise error(message.format((int(lo[i]), int(hi[i]))))
+    first = np.unique(lo * n + hi, return_index=True)[1]
+    if first.size < lo.size:
+        i = int(np.setdiff1d(np.arange(lo.size), first)[0])
+        raise InvalidEdgeError(f"duplicate edge {Edge(int(lo[i]), int(hi[i]))}")
+    return lo.astype(_INDEX), hi.astype(_INDEX)
 
 
 class NetworkBuilder:
@@ -468,7 +632,7 @@ class NetworkBuilder:
     def __init__(self) -> None:
         self._specs: List[NodeSpec] = []
         self._edges: List[Tuple[int, int]] = []
-        self._edge_bandwidths: Dict[Tuple[int, int], float] = {}
+        self._edge_bandwidths: List[float] = []
 
     @property
     def n_nodes(self) -> int:
@@ -496,7 +660,7 @@ class NetworkBuilder:
             raise BandwidthError(f"edge bandwidth must be positive, got {bandwidth}")
         e = (min(u, v), max(u, v))
         self._edges.append(e)
-        self._edge_bandwidths[e] = float(bandwidth)
+        self._edge_bandwidths.append(float(bandwidth))
         return e
 
     def build(self, validate: bool = True) -> HierarchicalBusNetwork:
@@ -504,6 +668,6 @@ class NetworkBuilder:
         return HierarchicalBusNetwork(
             self._specs,
             self._edges,
-            edge_bandwidths=dict(self._edge_bandwidths),
+            edge_bandwidths=list(self._edge_bandwidths),
             validate=validate,
         )

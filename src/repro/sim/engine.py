@@ -37,6 +37,7 @@ from repro.network.mutation import (
     MutationOutcome,
     apply_mutation,
 )
+from repro.network.node import NodeKind
 from repro.sim.protocol import fleet_groups, validate_strategy
 from repro.sim.sinks import MetricsSink
 from repro.sim.timeline import MutationPoint, merge_timeline
@@ -54,12 +55,12 @@ def _remap_span(
     start: int,
     stop: int,
     current_of_ref: np.ndarray,
-    n_refs: int,
 ) -> Tuple[Optional[RequestSequence], int, int, Optional[np.ndarray]]:
     """Resolve one serve span under the reference-id mapping.
 
     The mapping is constant within a span (mutations only happen at span
-    boundaries), so the kept events form one chunk.  Returns
+    boundaries), so the kept events form one chunk.  The span's reference
+    ids are in range (:func:`_check_issuers` ran on it).  Returns
     ``(sub, sub_start, sub_stop, kept)``: when every reference maps to
     itself the original sequence slice is returned directly (keeping its
     cached columnar view) with ``kept`` ``None``, otherwise a remapped
@@ -71,11 +72,6 @@ def _remap_span(
     flags: List[bool] = []
     identity = True
     for event in sequence.events[start:stop]:
-        if not 0 <= event.processor < n_refs:
-            raise WorkloadError(
-                f"event references processor id {event.processor}, but the "
-                f"replay universe has {n_refs} reference ids"
-            )
         proc = int(current_of_ref[event.processor])
         flags.append(proc >= 0)
         if proc < 0:
@@ -92,6 +88,35 @@ def _remap_span(
     if kept:
         return RequestSequence(kept, sequence.n_objects), 0, len(kept), flags
     return None, 0, 0, flags
+
+
+def _check_issuers(network, procs: np.ndarray, current_of_ref=None) -> None:
+    """Reject request issuers that are not processors of ``network``.
+
+    ``procs`` is the processor column of the events about to be served, in
+    reference ids; ``current_of_ref`` maps them to current node ids under
+    churn (``-1``: departed, the remap drops those events) and is ``None``
+    when reference ids are node ids.  A bus or out-of-range issuer would
+    index out of bounds inside the serving kernels, so every replay path
+    runs this -- one range check and one ``kinds`` gather, vectorized --
+    before it serves the events.
+    """
+    if not procs.size:
+        return
+    n_refs = network.n_nodes if current_of_ref is None else len(current_of_ref)
+    lo, hi = int(procs.min()), int(procs.max())
+    if lo < 0 or hi >= n_refs:
+        raise WorkloadError(
+            f"event references processor id {lo if lo < 0 else hi}, but the "
+            f"replay universe has {n_refs} reference ids"
+        )
+    current = procs if current_of_ref is None else current_of_ref[procs]
+    bus = (current >= 0) & (network.kinds[current] != NodeKind.PROCESSOR)
+    if bus.any():
+        raise WorkloadError(
+            f"event references id {int(procs[np.argmax(bus)])}, which is a bus "
+            "node, not a processor"
+        )
 
 
 class _ReferenceTracker:
@@ -150,8 +175,8 @@ class _MarkedSpan:
     (all of them without a remap; only the kept ones under churn).
     ``sub`` / ``sub_start`` / ``sub_stop`` / ``sub_marks`` address the
     events to serve (``sub`` is ``None`` when every event dropped).
-    ``remap`` is ``None`` or the ``(current_of_ref, n_refs)`` reference-id
-    mapping of a churn replay.
+    ``remap`` is ``None`` or the reference-id -> current-node mapping of a
+    churn replay.
     """
 
     __slots__ = ("edges", "kept", "sub", "sub_start", "sub_stop", "sub_marks")
@@ -164,7 +189,7 @@ class _MarkedSpan:
             sub, sub_start, sub_stop = sequence, start, stop
         else:
             sub, sub_start, sub_stop, flags = _remap_span(
-                sequence, start, stop, *remap
+                sequence, start, stop, remap
             )
         if flags is None:
             self.kept = rel
@@ -338,7 +363,7 @@ class SimulationEngine(_EngineView):
         tracker = remap = None
         if trace is not None:
             tracker = _ReferenceTracker(strategy.network.n_nodes, trace)
-            remap = (tracker.current_of_ref, tracker.n_refs)
+            remap = tracker.current_of_ref
 
         for sink in self.sinks:
             sink.on_begin(self)
@@ -352,6 +377,11 @@ class SimulationEngine(_EngineView):
                 for sink in self.sinks:
                     sink.on_mutation(self, outcome)
             else:  # ServeSpan
+                _check_issuers(
+                    strategy.network,
+                    sequence.as_arrays()[0][item.start : item.stop],
+                    remap,
+                )
                 _serve_span(self, sequence, item.start, item.stop, remap=remap)
         for sink in self.sinks:
             sink.on_end(self)
@@ -496,7 +526,7 @@ class SimulationEngine(_EngineView):
         tracker = remap = None
         if trace is not None:
             tracker = _ReferenceTracker(base_net.n_nodes, trace)
-            remap = (tracker.current_of_ref, tracker.n_refs)
+            remap = tracker.current_of_ref
 
         groups = fleet_groups(strategies)
         index = {id(strategy): k for k, strategy in enumerate(strategies)}
@@ -519,6 +549,11 @@ class SimulationEngine(_EngineView):
                         sink.on_mutation(engine, outcome)
             else:  # ServeSpan
                 start, stop = item.start, item.stop
+                _check_issuers(
+                    strategies[0].network,
+                    sequence.as_arrays()[0][start:stop],
+                    remap,
+                )
                 lane_marks = [
                     _sample_marks(engine.sinks, start, stop) for engine in engines
                 ]
@@ -655,31 +690,13 @@ class EngineStream(_EngineView):
             raise WorkloadError(
                 "sequence references more objects than the strategy was built for"
             )
-        if len(batch):
-            procs = batch.as_arrays()[0]
-            lo, hi = int(procs.min()), int(procs.max())
-            if lo < 0 or hi >= self.n_refs:
-                bad = lo if lo < 0 else hi
-                raise WorkloadError(
-                    f"event references processor id {bad}, but the replay "
-                    f"universe has {self.n_refs} reference ids"
-                )
-            # a stream is untrusted input: an in-range ref whose current
-            # node is a bus would index out of bounds inside the serving
-            # kernels, so reject it here (departed refs are fine -- the
-            # remap drops their events)
-            network = self.strategy.network
-            uniq = np.unique(procs)
-            current = (
-                uniq if self._tracker is None
-                else self._tracker.current_of_ref[uniq]
-            )
-            for ref, node in zip(uniq, current):
-                if node >= 0 and not network.is_processor(int(node)):
-                    raise WorkloadError(
-                        f"event references id {int(ref)}, which is a bus "
-                        "node, not a processor"
-                    )
+        # the whole batch, before any of it is served: a rejected batch
+        # leaves the account untouched
+        _check_issuers(
+            self.strategy.network,
+            batch.as_arrays()[0],
+            None if self._tracker is None else self._tracker.current_of_ref,
+        )
         return batch
 
     def serve(self, events) -> Tuple[int, int]:
@@ -707,9 +724,7 @@ class EngineStream(_EngineView):
         if self.chunk_size is not None:
             grid = self.chunk_size
             edges[1:1] = range((start // grid + 1) * grid, stop, grid)
-        remap = None if self._tracker is None else (
-            self._tracker.current_of_ref, self._tracker.n_refs
-        )
+        remap = None if self._tracker is None else self._tracker.current_of_ref
         batch_served = batch_dropped = 0
         for a, b in zip(edges, edges[1:]):
             self.position = b

@@ -63,12 +63,10 @@ def _detachable_processors(network: HierarchicalBusNetwork) -> List[int]:
     """Processors whose removal keeps the network valid."""
     if network.n_processors <= 2:
         return []
-    out = []
-    for p in network.processors:
-        (bus,) = network.neighbors(p)
-        if network.degree(bus) > 2:
-            out.append(p)
-    return out
+    indptr, across, _edge_ids = network.adjacency
+    procs = np.flatnonzero(~network.bus_mask)
+    bus = across[indptr[procs]]  # a processor's one neighbour
+    return procs[np.diff(indptr)[bus] > 2].tolist()
 
 
 def flash_crowd_attach(
@@ -233,7 +231,6 @@ def random_valid_mutation(
     """
     if not network.buses:
         raise WorkloadError("mutations need at least one bus")
-    rooted = network.rooted()
     while True:
         kind = int(rng.integers(0, 5))
         if kind == 0:
@@ -249,6 +246,7 @@ def random_valid_mutation(
             if candidates:
                 return DetachLeaf(int(rng.choice(candidates)))
         if kind == 4:
+            rooted = network.rooted()
             splittable = [b for b in network.buses if rooted.children(b)]
             if splittable:
                 bus = int(rng.choice(splittable))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import BandwidthError, MutationError, ReproError
+from repro.errors import BandwidthError, InvalidEdgeError, MutationError, ReproError
 from repro.network.builders import balanced_tree, single_bus, star_of_buses
 from repro.network.mutation import (
     AttachLeaf,
@@ -221,3 +221,112 @@ class TestChurnGenerators:
 
     def test_reproerror_hierarchy(self):
         assert issubclass(MutationError, ReproError)
+
+
+def _stored(net):
+    """Every stored array of ``net``."""
+    return [
+        net.kinds, net.edge_u, net.edge_v, net.edge_bandwidths,
+        net.bus_bandwidths, *net.adjacency,
+    ]
+
+
+def _storage(net):
+    """Copies of every stored array and tuple of ``net``."""
+    return [a.copy() for a in _stored(net)], net.names, net.edges
+
+
+def _unchanged(net, storage):
+    arrays, names, edges = storage
+    return (
+        net.names == names
+        and net.edges == edges
+        and all(np.array_equal(a, b) for a, b in zip(_stored(net), arrays))
+    )
+
+
+def _every_mutation_kind(net):
+    rooted = net.rooted()
+    bus = net.buses[-1]
+    e = net.edges[0]
+    return [
+        SetEdgeBandwidth(e.u, e.v, 3.0),
+        SetBusBandwidth(bus, 2.0),
+        AttachLeaf(bus, name="new"),
+        DetachLeaf(rooted.children(bus)[0]),
+        SplitBus(bus, rooted.children(bus)[:2]),
+    ]
+
+
+class TestArraySurgery:
+    """Mutations derive the new network's arrays; the old one never changes."""
+
+    @pytest.fixture
+    def net(self):
+        return balanced_tree(2, 2, 3)
+
+    def test_bandwidth_mutations_share_structure(self, net):
+        e = net.edges[2]
+        for mutation in (SetEdgeBandwidth(e.u, e.v, 3.0), SetBusBandwidth(0, 2.0)):
+            new = apply_mutation(net, mutation).network
+            assert new.kinds is net.kinds
+            assert new.edge_u is net.edge_u
+            assert new.edge_v is net.edge_v
+            assert new.names is net.names
+            assert all(a is b for a, b in zip(new.adjacency, net.adjacency))
+        edge_only = apply_mutation(net, SetEdgeBandwidth(e.u, e.v, 3.0)).network
+        assert edge_only.bus_bandwidths is net.bus_bandwidths
+        assert edge_only.edge_bandwidths is not net.edge_bandwidths
+        bus_only = apply_mutation(net, SetBusBandwidth(0, 2.0)).network
+        assert bus_only.edge_bandwidths is net.edge_bandwidths
+        assert bus_only.bus_bandwidths is not net.bus_bandwidths
+        # each network keeps its own rooted-view cache
+        assert bus_only.rooted() is not net.rooted()
+
+    def test_old_network_unchanged_by_every_kind(self, net):
+        storage = _storage(net)
+        for mutation in _every_mutation_kind(net):
+            apply_mutation(net, mutation)
+            assert _unchanged(net, storage), mutation
+
+    def test_stored_arrays_are_read_only(self, net):
+        for mutation in _every_mutation_kind(net):
+            new = apply_mutation(net, mutation).network
+            for arr in _stored(new) + [new.bus_mask]:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
+
+    @pytest.mark.parametrize(
+        "make, mutation, error",
+        [
+            (lambda: single_bus(3), lambda n: SetEdgeBandwidth(1, 2, 2.0),
+             InvalidEdgeError),
+            (lambda: single_bus(3), lambda n: SetEdgeBandwidth(0, 1, 0.0), BandwidthError),
+            (lambda: single_bus(3), lambda n: SetBusBandwidth(0, -1.0), BandwidthError),
+            (lambda: single_bus(3), lambda n: SetBusBandwidth(1, 2.0), MutationError),
+            (lambda: single_bus(3), lambda n: AttachLeaf(1), MutationError),
+            (lambda: single_bus(3), lambda n: AttachLeaf(0, bandwidth=0.0), BandwidthError),
+            (lambda: single_bus(3), lambda n: DetachLeaf(0), MutationError),
+            (lambda: single_bus(2), lambda n: DetachLeaf(1), MutationError),
+            (lambda: star_of_buses(2, 1), lambda n: DetachLeaf(n.processors[0]),
+             MutationError),
+            (lambda: star_of_buses(2, 2), lambda n: SplitBus(0, ()), MutationError),
+            (lambda: star_of_buses(2, 2), lambda n: SplitBus(n.processors[0], (0,)),
+             MutationError),
+            (lambda: star_of_buses(2, 2), lambda n: SplitBus(0, (n.processors[0],)),
+             MutationError),
+            (lambda: star_of_buses(2, 2),
+             lambda n: SplitBus(n.buses[1], (n.rooted().parent(n.buses[1]),)),
+             MutationError),
+            (lambda: single_bus(3), lambda n: SplitBus(0, (1, 2, 3)), MutationError),
+            (lambda: single_bus(3), lambda n: SplitBus(0, (1,), bus_bandwidth=0.0),
+             BandwidthError),
+        ],
+    )
+    def test_invalid_mutations_raise_and_leave_network(self, make, mutation, error):
+        net = make()
+        storage = _storage(net)
+        with pytest.raises(error):
+            apply_mutation(net, mutation(net))
+        assert _unchanged(net, storage)

@@ -195,3 +195,68 @@ class TestRootedCache:
         assert net.edge_bandwidth(0, 2) == 3.0
         with pytest.raises(BandwidthError):
             HierarchicalBusNetwork(specs, edges, edge_bandwidths=[2.0])
+
+
+class TestArrayStorage:
+    """The network is stored as read-only arrays; views derive from them."""
+
+    def test_storage_arrays(self):
+        net, bus, p0, p1 = build_simple()
+        assert net.kinds.tolist() == [int(NodeKind.BUS), 0, 0]
+        assert net.edge_u.tolist() == [0, 0] and net.edge_v.tolist() == [1, 2]
+        assert net.bus_mask.tolist() == [True, False, False]
+        indptr, neighbours, edge_ids = net.adjacency
+        assert indptr.tolist() == [0, 2, 3, 4]
+        assert neighbours.tolist() == [p0, p1, bus, bus]
+        assert edge_ids.tolist() == [0, 1, 0, 1]
+        assert net.names == ("bus", "p0", "p1")
+        for arr in (net.kinds, net.edge_u, net.edge_v, net.bus_mask, *net.adjacency):
+            assert not arr.flags.writeable
+
+    def test_incident_edges_ascending_and_neighbours_sorted(self):
+        specs = [BusSpec("b"), ProcessorSpec(), BusSpec("c"), ProcessorSpec(), ProcessorSpec()]
+        edges = [(2, 4), (0, 2), (0, 1), (3, 2)]
+        net = HierarchicalBusNetwork(specs, edges)
+        assert net.incident_edge_ids(2) == (0, 1, 3)
+        assert net.neighbors(2) == (0, 3, 4)
+        assert [net.edge_id(2, v) for v in (4, 0, 3)] == [0, 1, 3]
+        assert net.edge_endpoints(-1) == Edge(2, 3)
+        with pytest.raises(InvalidEdgeError):
+            net.edge_endpoints(4)
+        with pytest.raises(InvalidEdgeError):
+            net.edge_id(2, 9)
+        assert not net.has_edge(2, 9)
+
+    def test_from_arrays_round_trip(self):
+        net, *_ = build_simple()
+        args = (net.kinds, net.names, net.bus_bandwidths, net.edge_u, net.edge_v,
+                net.edge_bandwidths)
+        copy = HierarchicalBusNetwork.from_arrays(*args)
+        assert copy == net and copy.names == net.names
+        all_buses = HierarchicalBusNetwork.from_arrays([int(NodeKind.BUS)] * 3, *args[1:])
+        with pytest.raises(TopologyError):
+            all_buses.validate()
+
+    def test_with_bandwidths_checks_shape_and_sign(self):
+        net, *_ = build_simple()
+        new = net.with_bandwidths(edge_bandwidths=[2.0, 3.0])
+        assert new.edge_bandwidth(1) == 3.0 and new.edge_u is net.edge_u
+        assert net.edge_bandwidth(1) == 1.0
+        with pytest.raises(BandwidthError):
+            net.with_bandwidths(edge_bandwidths=[2.0])
+        with pytest.raises(BandwidthError):
+            net.with_bandwidths(bus_bandwidths=[1.0, 0.0, 1.0])
+
+    def test_mapping_bandwidths(self):
+        specs = [BusSpec("b"), ProcessorSpec("p0"), ProcessorSpec("p1")]
+        net = HierarchicalBusNetwork(specs, [(0, 1), (2, 0)], edge_bandwidths={(2, 0): 5.0})
+        assert net.edge_bandwidths.tolist() == [1.0, 5.0]
+        with pytest.raises(InvalidEdgeError):
+            HierarchicalBusNetwork(specs, [(0, 1), (0, 2)], edge_bandwidths={(1, 2): 5.0})
+
+    def test_unknown_edge_node_rejected(self):
+        specs = [BusSpec("b"), ProcessorSpec("p0"), ProcessorSpec("p1")]
+        with pytest.raises(InvalidNodeError):
+            HierarchicalBusNetwork(specs, [(0, 1), (0, 7)])
+        with pytest.raises(InvalidEdgeError):
+            HierarchicalBusNetwork(specs, [(0, 1), (2, 2)])

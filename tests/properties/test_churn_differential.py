@@ -19,6 +19,12 @@ every mutation the repaired substrate must equal a from-scratch rebuild:
 * snapshot/rollback round-trips still work on the repaired state, while
   rolling back across a mutation raises a clear ``ReproError``.
 
+The network itself obeys the same invariant: every network a churn
+generator's trace mutates into equals, field by field, the validated
+from-scratch rebuild ``network_from_dict(network_to_dict(net))`` --
+kinds, names, edges, both bandwidth arrays, the adjacency CSR, the
+neighbour and incident-edge lists and every ``edge_id`` lookup.
+
 The seed matrix is extendable via the ``REPRO_CHURN_SEEDS`` environment
 variable (comma-separated integers), which CI uses to pin a fixed matrix.
 """
@@ -34,6 +40,8 @@ from repro.errors import MutationError, ReproError
 from repro.network.builders import balanced_tree, random_tree
 from repro.network.mutation import AttachLeaf, DetachLeaf, SplitBus, apply_mutation
 from repro.network.rooted import RootedTree
+from repro.network.serialization import network_from_dict, network_to_dict
+from repro.workload import churn
 from repro.workload.churn import random_valid_mutation
 
 DEFAULT_SEEDS = (0, 1, 2, 3)
@@ -97,6 +105,64 @@ def assert_loadstate_equals_rebuild(state, net, fresh_rooted, ground):
     assert np.array_equal(state.stack._inc_edges, rebuilt.stack._inc_edges)
     assert np.array_equal(state.stack._inc_indptr, rebuilt.stack._inc_indptr)
     assert state.verify_bus_loads()
+
+
+def assert_network_equals_rebuild(net):
+    """``net`` equals its validated from-scratch rebuild, exactly."""
+    rebuilt = network_from_dict(network_to_dict(net))
+    for attr in ("kinds", "edge_u", "edge_v", "edge_bandwidths", "bus_bandwidths",
+                 "bus_mask"):
+        mine, theirs = getattr(net, attr), getattr(rebuilt, attr)
+        assert mine.dtype == theirs.dtype, attr
+        assert np.array_equal(mine, theirs), attr
+    for mine, theirs in zip(net.adjacency, rebuilt.adjacency):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+    assert net.names == rebuilt.names
+    assert net.edges == rebuilt.edges
+    assert net.processors == rebuilt.processors
+    assert net.buses == rebuilt.buses
+    assert net.canonical_root() == rebuilt.canonical_root()
+    for v in net.nodes():
+        assert net.neighbors(v) == rebuilt.neighbors(v)
+        assert net.incident_edge_ids(v) == rebuilt.incident_edge_ids(v)
+    for eid, e in enumerate(rebuilt.edges):
+        assert net.edge_id(e.v, e.u) == eid
+    net.validate()
+
+
+#: every trace generator of ``repro.workload.churn``, with its arguments
+CHURN_GENERATORS = {
+    "flash_crowd_attach": dict(n_new_leaves=6, spacing=1),
+    "flash_crowd_recovery": dict(n_new_leaves=6, detach_start=6),
+    "rolling_maintenance_detach": dict(n_detach=6, spacing=1),
+    "bandwidth_degradation": dict(n_steps=8, spacing=1),
+    "mutation_storm": dict(n_mutations=16, spacing=1),
+}
+
+
+class TestMutatedEqualsRebuilt:
+    """Array surgery on the network equals a validated from-scratch build."""
+
+    def test_every_generator_is_covered(self):
+        # random_valid_mutation is mutation_storm's building block
+        generators = set(churn.__all__) - {"random_valid_mutation"}
+        assert generators == set(CHURN_GENERATORS)
+
+    @pytest.mark.parametrize("generator", sorted(CHURN_GENERATORS))
+    @pytest.mark.parametrize("seed", _seed_matrix())
+    def test_mutated_network_equals_rebuild(self, generator, seed):
+        rng = np.random.default_rng(seed)
+        net = random_tree(
+            int(rng.integers(2, 7)), int(rng.integers(4, 11)), seed=seed
+        )
+        trace = getattr(churn, generator)(
+            net, seed=seed, **CHURN_GENERATORS[generator]
+        )
+        assert len(trace)
+        for timed in trace:
+            net = apply_mutation(net, timed.mutation).network
+            assert_network_equals_rebuild(net)
 
 
 class TestChurnDifferential:

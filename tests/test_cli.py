@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +302,32 @@ class TestChurnScenarios:
         code, text = run_cli(["simulate", "--scenario", "earthquake", "--small"])
         assert code == 2
         assert "unknown scenario 'earthquake'" in text
+
+
+class TestClosedOutput:
+    """A reader that closes the output early ends the command quietly."""
+
+    class ClosedStream(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def test_broken_pipe_exits_zero(self):
+        assert main(["simulate", "--list"], stream=self.ClosedStream()) == 0
+
+    def test_piped_into_head_exits_zero_without_traceback(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "simulate", "--list"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        child.stdout.readline()
+        child.stdout.close()  # what `| head -1` does after its line
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 0
+        assert b"BrokenPipeError" not in stderr
 
 
 class TestSimulateCommand:
